@@ -5,7 +5,7 @@ export PYTHONPATH
 FUZZ_MINUTES ?= 5
 FAULT_SEEDS ?= 0:64
 
-.PHONY: test test-fast test-degrade test-superblock test-uring test-uring-async test-cluster test-chaos faults fuzz bench perf trace
+.PHONY: test test-fast test-degrade test-superblock test-uring test-uring-async test-cluster test-chaos test-hostbench faults fuzz bench perf trace
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -45,6 +45,13 @@ test-cluster:
 # retry machinery and the chaos-off byte-identity contract.
 test-chaos:
 	$(PYTHON) -m pytest -x -q -m chaos
+
+# Host-time benchmark smoke tier: every hostbench workload untraced and
+# traced at a tiny size against the pinned simulated-output digests in
+# hostbench/expected.json — the check, outside tier-1's testpaths, that
+# cores=1 simulated results did not move.
+test-hostbench:
+	$(PYTHON) -m pytest hostbench -q
 
 faults:
 	$(PYTHON) -m repro.faults --seeds $(FAULT_SEEDS)

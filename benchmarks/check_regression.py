@@ -10,9 +10,9 @@ The comparison is schema-driven by the *new* file:
   ``"mips"``, the legacy BENCH_interp schema),
 * ``lower_is_better`` — direction (default ``false``: higher is better),
 * ``floors`` — ``{key: floor}`` absolute same-run floors on top-level
-  scalars of the new file (hard limits, not subject to tolerance; the
-  legacy BENCH_interp speedup floors apply when the file carries no
-  ``floors`` of its own).
+  scalars of the new file (hard limits, not subject to tolerance).  Every
+  BENCH file embeds its own; a new file with no ``floors`` fails the
+  check, as does a floor whose key the file does not report.
 
 Usage::
 
@@ -37,24 +37,19 @@ DEFAULT_NEW = ROOT / "BENCH_interp.json"
 TOLERANCE = 0.15
 
 
-#: Legacy same-run floors for result files that predate the embedded
-#: ``floors`` dict (BENCH_interp schema 1).  Ratios are host-noise-
-#: resistant (both sides measured in the same process), so unlike the
-#: tolerance band these are hard floors.
-SPEEDUP_FLOORS = {
-    "speedup_microbench_vs_uncached": 3.0,
-    "speedup_superblocks_vs_tier1": 5.0,
-}
-
-
 def check_floors(new: dict) -> list[str]:
-    """Absolute floors on the current run, independent of any baseline."""
+    """Absolute same-run floors on the current run, independent of any
+    baseline.  Same-run ratios resist host noise (both sides are measured
+    in one process), so unlike the tolerance band these are hard floors."""
+    floors = new.get("floors")
+    if not floors:
+        return ["no same-run `floors` embedded in the result file"]
     failures = []
-    floors = new.get("floors") or SPEEDUP_FLOORS
     for key, floor in floors.items():
         value = new.get(key)
         if value is None:
-            continue  # older-schema result file
+            failures.append(f"{key}: floored but missing from the result")
+            continue
         marker = "BELOW FLOOR" if value < floor else "ok"
         print(f"{key:42s} {value:8.2f} (floor {floor:.1f})  {marker}")
         if value < floor:

@@ -23,17 +23,20 @@ Fleet fault tolerance (PR 10) rides the same machinery.  ``chaos=``
 takes a :class:`~repro.cluster.chaos.ChaosPlan` (seeded per-shard crash/
 hang/degraded/hostile faults, delivered through the shard configs so
 fork-Pool and inline runs inject identically); ``deadline_cycles=`` arms
-a per-request deadline.  When either is active, ``serve`` becomes a
-retry loop: round 0 serves the planned schedule, then failed requests
-(unserved on a crashed/hung shard, or served past their deadline) are
-re-planned over live shards by the health-checked balancer
+a per-request deadline.  ``serve`` is one round loop: round 0 serves
+the planned schedule, then — only when either is active — failed
+requests (unserved on a crashed/hung shard, or served past their
+deadline) are re-planned over live shards by the health-checked balancer
 (:class:`~repro.cluster.health.HealthModel`: up → suspect → down,
 per-shard circuit breakers with deterministic cooldown ticks) under a
 capped-exponential-backoff :class:`~repro.cluster.health.RetryPolicy` —
-all seeded and replayable.  The merged report gains an ``availability``
-section (success rate, retries, failovers, p99 including failures).
-**With the fault layer inactive the report is byte-identical to the
-fault-free cluster** — the plain path below is untouched.
+all seeded and replayable.  The merged report then gains ``chaos`` and
+``availability`` sections (success rate, retries, failovers, p99
+including failures).  **With the fault layer inactive the loop stops
+after round 0 and the report is byte-identical to the fault-free
+cluster**: no ``chaos``/``availability`` keys, and ``measured_seconds``
+is the slowest shard's window rather than the cycle-quantised clock
+that includes retry windows and backoff.
 
 Determinism is the design constraint, not an afterthought:
 
@@ -164,13 +167,13 @@ class Cluster:
         self.retry = retry
         self.health_opts = health_opts
         self.tracer = tracer
-        #: the health model behind the most recent faulted serve
+        #: the health model behind the most recent serve
         self.last_health: HealthModel | None = None
 
     def _fault_active(self) -> bool:
-        """Whether serve() must take the retry-loop path.  A present but
-        empty plan (and a configured RetryPolicy alone) keeps the plain
-        path — and its byte-identical report."""
+        """Whether serve() may retry past round 0.  A present but empty
+        plan (and a configured RetryPolicy alone) keeps the single-round
+        serve — and its byte-identical report."""
         return bool(self.chaos is not None and len(self.chaos)) or \
             self.deadline_cycles is not None
 
@@ -184,11 +187,7 @@ class Cluster:
         client_cycles_per_request: int = 0,
     ) -> list[dict]:
         """Plan the run: balance ``requests`` and build one picklable
-        config per shard (shard ``i`` gets seed ``smp_seed + i``).
-
-        A scheduled :class:`~repro.cluster.chaos.ShardFault` rides its
-        shard's config as ``config["chaos"]`` — the only delivery path,
-        so fork-Pool and inline runs inject identically."""
+        config per shard (shard ``i`` gets seed ``smp_seed + i``)."""
         balancer = LoadBalancer(self.shards, self.policy)
         counts = balancer.plan(requests, sessions=self.sessions)
         self.last_balancer = balancer
@@ -203,34 +202,49 @@ class Cluster:
             if self.sessions
             else None
         )
-        configs = []
-        for index, count in enumerate(counts):
-            config = {
-                "shard": index,
-                "smp_seed": self.smp_seed + index,
-                "workload": "webserver",
-                "server": self.server,
-                "tool": self.tool,
-                "cores": self.cores,
-                "batched": self.batched,
-                "file_size": self.file_size,
-                "requests": count,
-                "warmup": warmup,
-                "connections": connections,
-                "client_cycles_per_request": client_cycles_per_request,
-            }
-            if miss_extra is not None:
-                config["request_extra_cycles"] = miss_extra[index]
-            if self.tool_opts is not None:
-                config["tool_opts"] = self.tool_opts
-            if self.machine_opts is not None:
-                config["machine_opts"] = self.machine_opts
-            if self.chaos is not None:
-                fault = self.chaos.fault_for(index)
-                if fault is not None:
-                    config["chaos"] = fault.to_config()
-            configs.append(config)
-        return configs
+        opts = {"warmup": warmup, "connections": connections,
+                "client_cycles_per_request": client_cycles_per_request}
+        return [
+            self._shard_config(index, count, 0, opts,
+                               None if miss_extra is None else miss_extra[index])
+            for index, count in enumerate(counts)
+        ]
+
+    def _shard_config(self, shard: int, requests: int, round_: int,
+                      opts: dict, extra_cycles: list[int] | None) -> dict:
+        """One round's config for ``shard``: a fresh machine seeded
+        ``smp_seed + shards*round_ + shard``.
+
+        A scheduled :class:`~repro.cluster.chaos.ShardFault` rides the
+        config as ``config["chaos"]`` — the only delivery path, so
+        fork-Pool and inline runs inject identically.  Retry rounds
+        re-apply only persistent (degraded/hostile) faults: one-shot
+        crash/hang faults do not repeat, which is what a half-open probe
+        restart means."""
+        config = {
+            "shard": shard,
+            "smp_seed": self.smp_seed + self.shards * round_ + shard,
+            "workload": "webserver",
+            "server": self.server,
+            "tool": self.tool,
+            "cores": self.cores,
+            "batched": self.batched,
+            "file_size": self.file_size,
+            "requests": requests,
+            **opts,
+        }
+        if extra_cycles is not None:
+            config["request_extra_cycles"] = extra_cycles
+        if self.tool_opts is not None:
+            config["tool_opts"] = self.tool_opts
+        if self.machine_opts is not None:
+            config["machine_opts"] = self.machine_opts
+        if self.chaos is not None:
+            fault = self.chaos.fault_for(shard)
+            if fault is not None and (
+                    round_ == 0 or fault.kind in ("degraded", "hostile")):
+                config["chaos"] = fault.to_config()
+        return config
 
     # ------------------------------------------------------------------ boot
     def _run_shards(self, configs: list[dict]) -> list[dict]:
@@ -238,14 +252,16 @@ class Cluster:
         if use_processes is None:
             use_processes = len(configs) > 1
         if not use_processes:
-            return [run_shard(c) for c in configs]
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:  # no fork on this host: results are identical
-            ctx = multiprocessing.get_context("spawn")
-        workers = min(len(configs), os.cpu_count() or 1)
-        with ctx.Pool(workers) as pool:
-            return pool.map(run_shard, configs)
+            entries = [run_shard(c) for c in configs]
+        else:
+            try:
+                ctx = multiprocessing.get_context("fork")
+            except ValueError:  # no fork on this host: results are identical
+                ctx = multiprocessing.get_context("spawn")
+            workers = min(len(configs), os.cpu_count() or 1)
+            with ctx.Pool(workers) as pool:
+                entries = pool.map(run_shard, configs)
+        return sorted(entries, key=lambda s: s["shard"])
 
     # ----------------------------------------------------------------- serve
     def serve(
@@ -260,83 +276,17 @@ class Cluster:
 
         ``warmup`` and ``connections`` are per shard (each shard runs its
         own wrk client); ``requests`` is the cluster-wide total the
-        balancer splits.  With the fault layer active (a non-empty chaos
-        plan or a per-request deadline) this becomes the health-checked
-        failover/retry loop; otherwise it is the original single-round
-        serve, report byte-identical to the fault-free cluster.
+        balancer splits.  Round 0 serves the planned schedule.  With the
+        fault layer active (a non-empty chaos plan or a per-request
+        deadline), failed requests — unserved on a crashed/hung shard, or
+        served past their deadline — are re-planned over live shards in
+        health-checked retry rounds, and the report gains ``chaos`` and
+        ``availability`` sections.  With it inactive round 0 is the only
+        round, and the report is byte-identical to the fault-free cluster.
         """
-        if self._fault_active():
-            return self._serve_faulted(
-                requests,
-                warmup=warmup,
-                connections=connections,
-                client_cycles_per_request=client_cycles_per_request,
-            )
-        configs = self.shard_configs(
-            requests,
-            warmup=warmup,
-            connections=connections,
-            client_cycles_per_request=client_cycles_per_request,
-        )
-        per_shard = sorted(self._run_shards(configs), key=lambda s: s["shard"])
-        rows = [s["result"] for s in per_shard]
-
-        # The fleet finishes when its slowest shard does.
-        measured_seconds = max(r["measured_seconds"] for r in rows)
-        total_requests = sum(r["requests"] for r in rows)
-        samples: list[int] = []
-        for row in rows:
-            samples.extend(row["latency_samples_cycles"])
-        pct = latency_percentiles(samples)
-
-        session_keys = {}
-        if self.sessions:
-            # Only present when the session model is on, so sessionless
-            # reports stay byte-identical to the pre-session cluster.
-            session_keys = {
-                "sessions": self.sessions,
-                "session_miss_cycles": self.session_miss_cycles,
-                "session_stats": self.last_balancer.session_stats(),
-            }
-        return {
-            "workload": "cluster-webserver",
-            "shards": self.shards,
-            "policy": self.policy,
-            "tool": self.tool,
-            "batched": self.batched,
-            "cores": self.cores,
-            "smp_seed": self.smp_seed,
-            "server": self.server,
-            "file_size": self.file_size,
-            "requests_total": total_requests,
-            "requests_per_shard": [r["requests"] for r in rows],
-            "warmup_per_shard": warmup,
-            "requests_per_sec": (
-                total_requests / measured_seconds if measured_seconds else 0.0
-            ),
-            "measured_seconds": measured_seconds,
-            "latency_p50_cycles": pct["p50"],
-            "latency_p95_cycles": pct["p95"],
-            "latency_p99_cycles": pct["p99"],
-            "guest_mips_per_shard": [r["guest_mips"] for r in rows],
-            "guest_mips_total": sum(r["guest_mips"] for r in rows),
-            **session_keys,
-            "obs": _merge_obs(per_shard),
-            "results": rows,
-        }
-
-    # ------------------------------------------------------ faulted serving
-    def _serve_faulted(
-        self,
-        requests: int,
-        *,
-        warmup: int,
-        connections: int | None,
-        client_cycles_per_request: int,
-    ) -> dict:
-        """The chaos path: round 0 + health-checked failover/retry rounds."""
         from repro.cpu.costs import CostModel
 
+        faulted = self._fault_active()
         freq = CostModel().frequency_hz
         deadline = self.deadline_cycles
         retry = self.retry if self.retry is not None else RetryPolicy()
@@ -344,19 +294,16 @@ class Cluster:
         health = self.last_health = HealthModel(
             self.shards, tracer=self.tracer, **(self.health_opts or {})
         )
+        opts = {"warmup": warmup, "connections": connections,
+                "client_cycles_per_request": client_cycles_per_request}
 
-        configs = self.shard_configs(
-            requests,
-            warmup=warmup,
-            connections=connections,
-            client_cycles_per_request=client_cycles_per_request,
-        )
+        configs = self.shard_configs(requests, **opts)
         balancer = self.last_balancer
-        assigned: list[list[int]] = [[] for _ in range(self.shards)]
+        assigned: dict[int, list[int]] = {s: [] for s in range(self.shards)}
         for rid, shard in enumerate(balancer.assignments):
             assigned[shard].append(rid)
 
-        per_shard = sorted(self._run_shards(configs), key=lambda s: s["shard"])
+        per_shard = self._run_shards(configs)
 
         # per-request outcome state, across rounds
         success: dict[int, int] = {}  # rid -> client-perceived latency
@@ -412,8 +359,7 @@ class Cluster:
             return int(max(r["measured_seconds"] for r in rows) * freq)
 
         clock = window_cycles(per_shard)
-        failed = evaluate(per_shard, {s: assigned[s] for s in
-                                      range(self.shards)}, 0, clock)
+        failed = evaluate(per_shard, assigned, 0, clock)
 
         all_entries = list(per_shard)
         backoffs: list[int] = []
@@ -422,7 +368,7 @@ class Cluster:
         total_retried = 0
         rounds_run = 1
 
-        for attempt in range(1, retry.max_attempts):
+        for attempt in range(1, retry.max_attempts if faulted else 1):
             if not failed:
                 break
             health.begin_round(attempt, ts=clock)
@@ -458,14 +404,15 @@ class Cluster:
 
             retry_configs = []
             for target in sorted(per_target):
-                retry_configs.append(self._retry_config(
-                    target, per_target[target], attempt,
-                    warmup=warmup, connections=connections,
-                    client_cycles_per_request=client_cycles_per_request,
-                    event_of=event_of,
-                ))
-            entries = sorted(self._run_shards(retry_configs),
-                             key=lambda s: s["shard"])
+                target_ids = per_target[target]
+                extra = [
+                    self.session_miss_cycles
+                    if event_of.get(rid) in ("miss", "migrate") else 0
+                    for rid in target_ids
+                ] if self.sessions else None
+                retry_configs.append(self._shard_config(
+                    target, len(target_ids), attempt, opts, extra))
+            entries = self._run_shards(retry_configs)
             all_entries.extend(entries)
             clock += window_cycles(entries)
             failed = evaluate(entries, per_target, attempt, clock)
@@ -483,49 +430,18 @@ class Cluster:
         rows = [s["result"] for s in per_shard]
         live_rows = [r for r in rows if r is not None]
         completed = len(success)
-        final_failed = sorted(rid for rid, _ in failed)
-        ok_samples = sorted(success.values())
-        pct = latency_percentiles(ok_samples)
-        fail_latency = deadline if deadline is not None else \
-            max((f.deadline_cycles for f in (self.chaos or ())),
-                default=4_000_000)
-        pct_incl = latency_percentiles(
-            ok_samples + [fail_latency] * len(final_failed)
-        )
-        measured_seconds = clock / freq if freq else 0.0
+        pct = latency_percentiles(list(success.values()))
+        if faulted:
+            # client-perceived: retry windows and backoff included
+            measured_seconds = clock / freq if freq else 0.0
+        else:
+            # the fleet finishes when its slowest shard does
+            measured_seconds = max(r["measured_seconds"] for r in rows)
         obs = _merge_obs(all_entries)
         obs["health_per_shard"] = [
             s["obs"]["health"] if s.get("obs") else None for s in per_shard
         ]
-
-        session_keys = {}
-        if self.sessions:
-            session_keys = {
-                "sessions": self.sessions,
-                "session_miss_cycles": self.session_miss_cycles,
-                "session_stats": balancer.session_stats(),
-            }
-        availability = {
-            "requests": requests,
-            "completed": completed,
-            "failed": len(final_failed),
-            "failed_ids": final_failed,
-            "duplicate_serves": duplicate_serves,
-            "success_rate": round(completed / requests, 6) if requests
-            else 1.0,
-            "rounds": rounds_run,
-            "retries": total_retried,
-            "failovers": failover_count,
-            "timeouts": timeout_count,
-            "ring_timeouts": obs["ring_timeouts"],
-            "backoff_cycles": backoffs,
-            "retry_rounds": retry_rounds,
-            "shards_down": [s for s in range(self.shards)
-                            if health.states[s] == DOWN],
-            "health": health.snapshot(),
-            "latency_p99_cycles_incl_failures": pct_incl["p99"],
-        }
-        return {
+        report = {
             "workload": "cluster-webserver",
             "shards": self.shards,
             "policy": self.policy,
@@ -548,11 +464,23 @@ class Cluster:
             "guest_mips_per_shard": [
                 r["guest_mips"] if r else 0.0 for r in rows
             ],
-            "guest_mips_total": sum(
-                r["guest_mips"] for r in live_rows
-            ),
-            **session_keys,
-            "chaos": {
+            "guest_mips_total": sum(r["guest_mips"] for r in live_rows),
+        }
+        if self.sessions:
+            # Only present when the session model is on, so sessionless
+            # reports stay byte-identical to the pre-session cluster.
+            report["sessions"] = self.sessions
+            report["session_miss_cycles"] = self.session_miss_cycles
+            report["session_stats"] = balancer.session_stats()
+        if faulted:
+            final_failed = sorted(rid for rid, _ in failed)
+            fail_latency = deadline if deadline is not None else \
+                max((f.deadline_cycles for f in (self.chaos or ())),
+                    default=4_000_000)
+            pct_incl = latency_percentiles(
+                list(success.values()) + [fail_latency] * len(final_failed)
+            )
+            report["chaos"] = {
                 "plan": [f.to_config() | {"shard": f.shard}
                          for f in (self.chaos or ())],
                 "deadline_cycles": deadline,
@@ -561,13 +489,32 @@ class Cluster:
                     "backoff_base_cycles": retry.backoff_base_cycles,
                     "backoff_cap_cycles": retry.backoff_cap_cycles,
                 },
-            },
-            "availability": availability,
-            "obs": obs,
-            "results": rows,
-        }
+            }
+            report["availability"] = {
+                "requests": requests,
+                "completed": completed,
+                "failed": len(final_failed),
+                "failed_ids": final_failed,
+                "duplicate_serves": duplicate_serves,
+                "success_rate": round(completed / requests, 6) if requests
+                else 1.0,
+                "rounds": rounds_run,
+                "retries": total_retried,
+                "failovers": failover_count,
+                "timeouts": timeout_count,
+                "ring_timeouts": obs["ring_timeouts"],
+                "backoff_cycles": backoffs,
+                "retry_rounds": retry_rounds,
+                "shards_down": [s for s in range(self.shards)
+                                if health.states[s] == DOWN],
+                "health": health.snapshot(),
+                "latency_p99_cycles_incl_failures": pct_incl["p99"],
+            }
+        report["obs"] = obs
+        report["results"] = rows
+        return report
 
-    # ------------------------------------------------------- faulted helpers
+    # --------------------------------------------------- retry-round helpers
     def _route(self, ids: list[int]) -> tuple[list[tuple[int, int]], list]:
         """Replan ``ids`` on the live balancer; returns the routed pairs
         and the aligned session events."""
@@ -608,41 +555,3 @@ class Cluster:
                     if rid in overflow:
                         kept.append((rid, target))
         return sorted(kept)
-
-    def _retry_config(self, shard: int, ids: list[int], round_: int, *,
-                      warmup: int, connections: int | None,
-                      client_cycles_per_request: int,
-                      event_of: dict) -> dict:
-        """One retry-round shard config: fresh machine, round-distinct
-        seed, persistent (degraded/hostile) chaos re-applied — one-shot
-        faults (crash/hang) do not repeat, which is what a half-open
-        probe restart means."""
-        config = {
-            "shard": shard,
-            "smp_seed": self.smp_seed + self.shards * round_ + shard,
-            "workload": "webserver",
-            "server": self.server,
-            "tool": self.tool,
-            "cores": self.cores,
-            "batched": self.batched,
-            "file_size": self.file_size,
-            "requests": len(ids),
-            "warmup": warmup,
-            "connections": connections,
-            "client_cycles_per_request": client_cycles_per_request,
-        }
-        if self.sessions:
-            config["request_extra_cycles"] = [
-                self.session_miss_cycles
-                if event_of.get(rid) in ("miss", "migrate") else 0
-                for rid in ids
-            ]
-        if self.tool_opts is not None:
-            config["tool_opts"] = self.tool_opts
-        if self.machine_opts is not None:
-            config["machine_opts"] = self.machine_opts
-        if self.chaos is not None:
-            fault = self.chaos.fault_for(shard)
-            if fault is not None and fault.kind in ("degraded", "hostile"):
-                config["chaos"] = fault.to_config()
-        return config

@@ -29,28 +29,6 @@ from repro.obs.format import format_call
 from repro.obs.tracer import Tracer
 
 
-def removed_install(cls, method: str = "install", hint: str = "") -> None:
-    """Shared raiser for the removed ``*Tool.install`` entry points.
-
-    The per-class constructors were deprecated (warn-but-work shims) when
-    the unified registry landed; they now fail loudly so the last
-    out-of-tree callers migrate.  The error names the exact replacement
-    call and raises *before* any machine state is touched, so a failed
-    ``install`` never leaves a half-attached tool behind.
-    """
-    from repro.errors import AttachError
-
-    replacement = hint or (
-        f"repro.interpose.attach(machine, process, "
-        f"tool={getattr(cls, 'tool_name', cls.__name__)!r}, ...)"
-    )
-    raise AttachError(
-        f"{cls.__name__}.{method}() was removed; use {replacement} "
-        f"(the unified tool registry — mechanism-specific options pass "
-        f"through **opts, see repro.interpose.registry)"
-    )
-
-
 class SyscallContext:
     """Everything an interposer can see and touch for one syscall."""
 

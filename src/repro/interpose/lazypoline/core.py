@@ -9,7 +9,6 @@ from repro.interpose.api import (
     Interposer,
     SyscallContext,
     passthrough_interposer,
-    removed_install,
 )
 from repro.interpose.lazypoline import gsrel
 from repro.interpose.lazypoline.asmblobs import LazypolineBlobs, build_blobs
@@ -136,12 +135,6 @@ class Lazypoline:
         return sites
 
     # ------------------------------------------------------------------ install
-    @classmethod
-    def install(cls, machine, process, interposer=None,
-                config=None) -> "Lazypoline":
-        """Removed — raises :class:`~repro.errors.AttachError`."""
-        removed_install(cls)
-
     @classmethod
     def _install(
         cls,

@@ -1,10 +1,10 @@
 """The unified tool-attach API: one entry point for every mechanism.
 
 ``attach(machine, process, tool="lazypoline", interposer=..., **opts)``
-replaces the per-class ``*Tool.install`` constructors (now deprecated
-shims).  Tools are looked up in a registry keyed by ``tool_name``; entries
-are imported lazily so importing :mod:`repro.interpose` stays cheap and no
-tool module is loaded until it is actually attached.
+is the only way to attach a tool.  Tools are looked up in a registry
+keyed by ``tool_name``; entries are imported lazily so importing
+:mod:`repro.interpose` stays cheap and no tool module is loaded until it
+is actually attached.
 
 Mechanism-specific options pass through ``**opts`` (e.g. ``mode="bytescan"``
 for zpoline, ``config=LazypolineConfig(...)`` for lazypoline).  Two tools
@@ -137,7 +137,7 @@ def attach(
 ):
     """Attach an interposition tool to ``process`` on ``machine``.
 
-    Returns the tool object (same as the old ``*Tool.install`` calls).
+    Returns the tool object.
     ``interposer`` defaults to the passthrough interposer for tools that
     take one; mechanism-specific options go in ``**opts``.
 

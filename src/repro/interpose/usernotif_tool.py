@@ -24,7 +24,6 @@ from repro.interpose.api import (
     Interposer,
     SyscallContext,
     passthrough_interposer,
-    removed_install,
 )
 from repro.kernel.seccomp.bpf import BpfProgram
 from repro.kernel.seccomp.core import SECCOMP_RET_USER_NOTIF
@@ -47,11 +46,6 @@ class UserNotifTool:
         self.notifications = 0
 
     @classmethod
-    def install(cls, machine, process, interposer=None, **kw) -> "UserNotifTool":
-        """Removed — raises :class:`~repro.errors.AttachError`."""
-        removed_install(cls)
-
-    @classmethod
     def _install(
         cls,
         machine,
@@ -67,16 +61,6 @@ class UserNotifTool:
         )
         machine.kernel.usernotif_supervisor = tool._on_notification
         return tool
-
-    @classmethod
-    def install_for_syscalls(cls, machine, process, sysnos,
-                             interposer=None) -> "UserNotifTool":
-        """Removed — raises :class:`~repro.errors.AttachError`."""
-        removed_install(
-            cls, "install_for_syscalls",
-            hint="repro.interpose.attach(machine, process, "
-                 "tool='seccomp_unotify', sysnos=[...])",
-        )
 
     @classmethod
     def _install_for_syscalls(

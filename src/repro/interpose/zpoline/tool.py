@@ -7,7 +7,6 @@ from repro.interpose.api import (
     Interposer,
     SyscallContext,
     passthrough_interposer,
-    removed_install,
 )
 from repro.interpose.zpoline.rewriter import discover_sites, rewrite_sites
 from repro.interpose.zpoline.trampoline import build_trampoline_code, map_trampoline
@@ -41,11 +40,6 @@ class Zpoline:
         self._hcall_id: int | None = None
 
     # ------------------------------------------------------------------ install
-    @classmethod
-    def install(cls, machine, process, interposer=None, **kw) -> "Zpoline":
-        """Removed — raises :class:`~repro.errors.AttachError`."""
-        removed_install(cls)
-
     @classmethod
     def _install(
         cls,

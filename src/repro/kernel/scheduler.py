@@ -36,6 +36,9 @@ from repro.kernel.smp import Core
 from repro.kernel.task import Task, TaskState
 from repro.kernel.waits import DeadlockError, WouldBlock
 
+#: Guest faults a step or a compiled block raises for ``handle_fault``.
+_GUEST_FAULTS = (PageFault, InvalidOpcode, BreakpointTrap)
+
 
 class SchedulePolicy:
     """Hook points a scheduling policy may implement (all optional).
@@ -99,6 +102,10 @@ class Scheduler:
         self.smp_seed = smp_seed
         self._rng = random.Random(smp_seed)
         self._current_core = self.cores[0]
+        #: The value the SMP loop last settled ``kernel.clock`` to outside
+        #: any slice; whatever was charged on top of it since (a tool's
+        #: attach work, say) is carried onto the next core entered.
+        self._settled = kernel.clock
         #: Total cross-core shootdown IPIs sent (see :meth:`_shootdown`).
         self.shootdowns = 0
 
@@ -155,39 +162,29 @@ class Scheduler:
                 tracer.ctx_switch(kernel.clock, self._last_tid, task.tid)
                 self._last_tid = task.tid
             tracer.slice_start(kernel.clock, task.tid)
-        # Invariants hoisted out of the per-instruction body: the CPU step
-        # and fault handler bindings, and the protection-key rights load
-        # (per-thread PKRU) — a slice is the task-switch point, so PKRU is
-        # stored once here and re-stored only when a nested scheduler run
-        # (_nest_epoch changed) or an execve (task.mem rebound) may have
-        # clobbered it.  ``until()`` predicates are only consulted between
-        # slices, so insn_count is batched to slice exit as well.
+        # Invariants hoisted out of the per-instruction body: the CPU step,
+        # charge and fault handler bindings, and the protection-key rights
+        # load (per-thread PKRU) — a slice is the task-switch point, so
+        # PKRU is stored once here and re-stored only when a nested
+        # scheduler run (_nest_epoch changed) or an execve (task.mem
+        # rebound) may have clobbered it.  ``until()`` predicates are only
+        # consulted between slices, so insn_count is batched to slice exit
+        # as well.
         cpu = kernel.cpu
         step = cpu.step
+        charge = kernel.charge
         handle_fault = kernel.handle_fault
         runnable = TaskState.RUNNABLE
         core = self._current_core
         core._depth += 1
         slice_t0 = kernel.clock
         hooks = cpu.hooks
-        # Tier-2 dispatch is only sound when nothing can observe or change
-        # state at interior instruction boundaries: a schedule policy may
-        # preempt or post signals anywhere, and CPU hooks (ptrace) see
-        # every instruction — both force pure single-stepping.  Blocks
-        # contain no syscalls/hcalls, so with tier on, every signal
-        # delivery point, boundary check and quantum edge that the
-        # single-step loop would hit still lands on the same instruction.
-        tier = cpu.superblocks and policy is None and not hooks
-        blocks = heads = gens = None
         try:
             mem = task.mem
             mem.active_pkru = task.regs.pkru
-            epoch = self._nest_epoch
-            if tier:
-                bcache = self._tier_state(cpu, mem)
-                blocks = bcache.blocks
-                heads = bcache.heads
-                gens = mem.exec_gen
+            # None forces the rebind below at the first boundary, which
+            # also derives ``tier`` and its block state before first use.
+            epoch = None
             while executed < budget:
                 if not task.alive:
                     break
@@ -203,6 +200,11 @@ class Scheduler:
                     if not task.alive:
                         break
                 if task.mem is not mem or self._nest_epoch != epoch:
+                    # The first boundary, an execve, or a nested scheduler
+                    # run (Kernel.wait_until inside the last step or an
+                    # unblock, which restores PKRU itself before the
+                    # host-side caller resumes): re-store PKRU and re-derive
+                    # the core binding and tier state before the next step.
                     mem = task.mem
                     epoch = self._nest_epoch
                     mem.active_pkru = task.regs.pkru
@@ -211,6 +213,15 @@ class Scheduler:
                         # this address space's live decode cache at another
                         # core's private copy; re-bind ours.
                         self._bind_core(core, mem)
+                    # Tier-2 dispatch is only sound when nothing can
+                    # observe or change state at interior instruction
+                    # boundaries: a schedule policy may preempt or post
+                    # signals anywhere, and CPU hooks (ptrace) see every
+                    # instruction — both force pure single-stepping.
+                    # Blocks contain no syscalls/hcalls, so with tier on,
+                    # every signal delivery point, boundary check and
+                    # quantum edge that the single-step loop would hit
+                    # still lands on the same instruction.
                     tier = cpu.superblocks and policy is None and not hooks
                     if tier:
                         bcache = self._tier_state(cpu, mem)
@@ -219,115 +230,69 @@ class Scheduler:
                         gens = mem.exec_gen
                 addr = task.regs.rip
                 if tier:
-                    b = blocks.get(addr)
-                    if b is None:
-                        if executed == 0:
+                    # Run the compiled block at ``addr`` — or, when it
+                    # overruns the budget, its ``(head, rem)`` *tail*
+                    # variant truncated to exactly the leftover — and chain
+                    # full blocks back-to-back.  Chaining skips the
+                    # boundary checks above *between* blocks, which is
+                    # sound because a block runs no syscalls/hcalls:
+                    # nothing inside a chain can change liveness, pending
+                    # signals or the address-space binding (and so nothing
+                    # can nest a scheduler run) — only a fault can, and it
+                    # ends the chain.  Once a block ran, control returns to
+                    # the boundary checks; otherwise it falls through to
+                    # one tier-1 step.
+                    ran = False
+                    while True:
+                        b = blocks.get(addr)
+                        if b is None:
                             # Quantum cuts land mid-run, so slice entry
                             # points recur without ever being a taken
-                            # branch target; count them as head
-                            # candidates too (once per slice — cheap).
-                            c = heads.get(addr, 0) + 1
-                            if c >= _HOT:
-                                heads.pop(addr, None)
-                                cpu.compile_superblock(mem, addr, task.tid)
-                            else:
-                                heads[addr] = c
-                    else:
-                        fn = b.fn
-                        if (gens.get(b.p0, 0) != b.g0
+                            # branch target; count them as head candidates
+                            # too, as well as block exits.
+                            if ran or not executed:
+                                self._heat(heads, mem, addr, task.tid)
+                            break
+                        rem = budget - executed
+                        key = addr  # ``key is addr``: the full block
+                        if b.fn is not None and b.n > rem:
+                            if not rem:
+                                break
+                            key = (addr, rem)
+                            b = blocks.get(key)
+                        if b is not None and (
+                                gens.get(b.p0, 0) != b.g0
                                 or gens.get(b.p1, 0) != b.g1):
                             # Missed by the eager flush (e.g. invalidated
                             # while bound to another core's cache).
-                            del blocks[addr]
-                            if fn is not None:
+                            del blocks[key]
+                            if b.fn is not None:
                                 cpu.note_block_invalidate(addr, task.tid)
-                        elif fn is not None and b.n <= budget - executed:
-                            # Chain compiled blocks back-to-back.  This
-                            # skips the boundary checks above *between*
-                            # blocks, which is sound because a block runs
-                            # no syscalls/hcalls: nothing inside a chain
-                            # can change liveness, pending signals or the
-                            # address-space binding — only a fault can,
-                            # and it breaks the chain.
-                            charge = kernel.charge
-                            while True:
-                                try:
-                                    n = fn(task, charge)
-                                except (PageFault, InvalidOpcode,
-                                        BreakpointTrap) as exc:
-                                    executed += task.sb_fault
-                                    b.runs += 1
-                                    handle_fault(task, exc, task.regs.rip)
-                                    break
-                                executed += n
-                                b.runs += 1
-                                # Hotness: block exits chain into heads.
-                                nrip = task.regs.rip
-                                nb = blocks.get(nrip)
-                                if nb is None:
-                                    c = heads.get(nrip, 0) + 1
-                                    if c >= _HOT:
-                                        heads.pop(nrip, None)
-                                        cpu.compile_superblock(
-                                            mem, nrip, task.tid)
-                                    else:
-                                        heads[nrip] = c
-                                    break
-                                fn = nb.fn
-                                if (fn is None
-                                        or nb.n > budget - executed):
-                                    break
-                                if (gens.get(nb.p0, 0) != nb.g0
-                                        or gens.get(nb.p1, 0) != nb.g1):
-                                    del blocks[nrip]
-                                    cpu.note_block_invalidate(
-                                        nrip, task.tid)
-                                    break
-                                b = nb
-                            # Blocks never nest a scheduler run (no
-                            # syscalls/hcalls inside), so the post-step
-                            # epoch recheck below cannot fire; skip it.
-                            continue
-                        elif fn is not None:
-                            # The block overruns the remaining budget.
-                            # Run a *tail* variant truncated to exactly
-                            # the leftover — same instructions, costs and
-                            # fault behaviour as that many single steps,
-                            # without the per-instruction boundary
-                            # protocol (sound for the same reason the
-                            # chain above is: no syscalls/hcalls inside).
-                            rem = budget - executed
-                            if rem >= 1:
-                                key = (addr, rem)
-                                tb = blocks.get(key)
-                                if tb is not None and (
-                                        gens.get(tb.p0, 0) != tb.g0
-                                        or gens.get(tb.p1, 0) != tb.g1):
-                                    del blocks[key]
-                                    if tb.fn is not None:
-                                        cpu.note_block_invalidate(
-                                            addr, task.tid)
-                                    tb = None
-                                if tb is None:
-                                    tb = cpu.compile_superblock(
-                                        mem, addr, task.tid, max_len=rem)
-                                tfn = tb.fn
-                                if tfn is not None:
-                                    try:
-                                        n = tfn(task, kernel.charge)
-                                    except (PageFault, InvalidOpcode,
-                                            BreakpointTrap) as exc:
-                                        executed += task.sb_fault
-                                        tb.runs += 1
-                                        handle_fault(
-                                            task, exc, task.regs.rip)
-                                    else:
-                                        executed += n
-                                        tb.runs += 1
-                                    continue
+                            if key is addr:
+                                break
+                            b = None
+                        if b is None:  # tails compile on first use
+                            b = cpu.compile_superblock(
+                                mem, addr, task.tid, max_len=rem)
+                        fn = b.fn
+                        if fn is None:
+                            break
+                        ran = True
+                        b.runs += 1
+                        try:
+                            executed += fn(task, charge)
+                        except _GUEST_FAULTS as exc:
+                            executed += task.sb_fault
+                            handle_fault(task, exc, task.regs.rip)
+                            break
+                        if key is not addr:  # tails end a chain
+                            break
+                        addr = task.regs.rip
+                    if ran:
+                        continue
                 try:
                     insn = step(task)
-                except (PageFault, InvalidOpcode, BreakpointTrap) as exc:
+                except _GUEST_FAULTS as exc:
                     handle_fault(task, exc, addr)
                     insn = None
                 executed += 1
@@ -337,24 +302,7 @@ class Scheduler:
                     # run that eventually compiles across it.
                     nrip = task.regs.rip
                     if nrip != addr + insn.length and nrip not in blocks:
-                        c = heads.get(nrip, 0) + 1
-                        if c >= _HOT:
-                            heads.pop(nrip, None)
-                            cpu.compile_superblock(mem, nrip, task.tid)
-                        else:
-                            heads[nrip] = c
-                if self._nest_epoch != epoch:
-                    epoch = self._nest_epoch
-                    if task.mem is mem:
-                        mem.active_pkru = task.regs.pkru
-                    if self.smp:
-                        self._bind_core(core, task.mem)
-                    tier = cpu.superblocks and policy is None and not hooks
-                    if tier and task.mem is not None:
-                        bcache = self._tier_state(cpu, task.mem)
-                        blocks = bcache.blocks
-                        heads = bcache.heads
-                        gens = task.mem.exec_gen
+                        self._heat(heads, mem, nrip, task.tid)
         finally:
             self._active.discard(task.tid)
             core._depth -= 1
@@ -499,6 +447,18 @@ class Scheduler:
             mem.block_flush_hook = self._block_flush
         return bcache
 
+    def _heat(self, heads: dict, mem, addr: int, tid: int) -> None:
+        """Count one arrival at block-less head candidate ``addr``; compile
+        the run there once it turns hot.  Arrivals are bounded per head
+        (a compile leaves a block or sentinel behind), so this never runs
+        per compiled-block execution."""
+        c = heads.get(addr, 0) + 1
+        if c >= _HOT:
+            heads.pop(addr, None)
+            self.kernel.cpu.compile_superblock(mem, addr, tid)
+        else:
+            heads[addr] = c
+
     def _block_flush(self, mem, pn: int, dropped: list) -> None:
         """Eager flush callback: blocks spanning page ``pn`` were dropped."""
         cpu = self.kernel.cpu
@@ -596,11 +556,17 @@ class Scheduler:
         nest on the *same* core (``Kernel.wait_until`` timesharing), the
         checkpoint and the harvest alias the same ``Core`` object, which
         serialises the nested work into the waiter's timeline — exactly
-        what one physical core would do.
+        what one physical core would do.  An outermost slice first carries
+        onto its core whatever was charged to ``kernel.clock`` since the
+        loop last settled it (attach work between ``load`` and ``run``,
+        say), so such charges count as they do with one core.
         """
         kernel = self.kernel
         prev = self._current_core
-        if prev._depth:
+        outermost = not prev._depth
+        if outermost:
+            core.clock += kernel.clock - self._settled
+        else:
             prev.clock = kernel.clock  # checkpoint the interrupted slice
         self._current_core = core
         if core.clock < task.wake_clock:
@@ -617,6 +583,8 @@ class Scheduler:
             core.slices += 1
             self._current_core = prev
             kernel.clock = prev.clock
+            if outermost:
+                self._settled = kernel.clock
             if tracer is not None:
                 tracer.current_core = prev.id
 
@@ -716,6 +684,7 @@ class Scheduler:
                 core.clock = at
         if kernel.clock < at:
             kernel.clock = at
+        self._settled = kernel.clock
         callback()
         return True
 
@@ -745,7 +714,7 @@ class Scheduler:
             # Events are machine-global; fire them against the frontier.
             # (kernel.clock is scratch between slices — the next slice
             # re-swaps it to its core's local clock.)
-            kernel.clock = self.frontier()
+            kernel.clock = self._settled = self.frontier()
             kernel.fire_due_events()
             if progress == 0:
                 if self._advance_time_smp():

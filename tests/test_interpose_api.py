@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import warnings
+
 import pytest
 
+from repro.faults.corpus import CORPUS
+from repro.interpose import attach, available_tools
 from repro.interpose.api import (
     DenyListInterposer,
     SyscallContext,
@@ -101,3 +105,31 @@ def test_errno_helpers():
 def test_syscall_name_lookup():
     assert syscall_name(0) == "read"
     assert syscall_name(231) == "exit_group"
+
+
+# ----------------------------------------------------------- attach parity
+def _run_syscall_loop(tool: str, **opts) -> int:
+    """Attach ``tool`` to the corpus syscall loop and run it to exit."""
+    machine = Machine()
+    process = machine.load(CORPUS["syscall_loop"].build())
+    attach(machine, process, tool, **opts)
+    machine.run(
+        until=lambda: not any(t.alive for t in machine.kernel.tasks.values()),
+        max_instructions=3_000_000,
+    )
+    return process.exit_code
+
+
+@pytest.mark.parametrize("tool", sorted(available_tools()))
+def test_attach_runs_syscall_loop_and_never_warns(tool):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # attach itself must never warn
+        assert _run_syscall_loop(tool) == 0
+
+
+def test_attach_seccomp_bpf_denylist_runs_syscall_loop():
+    assert _run_syscall_loop("seccomp_bpf", denylist=[NR["open"]]) == 0
+
+
+def test_attach_seccomp_unotify_sysnos_runs_syscall_loop():
+    assert _run_syscall_loop("seccomp_unotify", sysnos=[NR["getpid"]]) == 0

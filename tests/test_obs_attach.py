@@ -1,4 +1,4 @@
-"""The unified attach API and its deprecated per-class shims."""
+"""The unified attach API: every tool, its options and the registry."""
 
 from __future__ import annotations
 
@@ -103,7 +103,7 @@ def test_register_tool_extension_point():
         registry._REGISTRY.pop("faketool", None)
 
 
-# -------------------------------------------------------------- removed shims
+# ------------------------------------------- attach replaces the installers
 def test_attach_replaces_lazypoline_install():
     machine = Machine()
     process = machine.load(hello_image())

@@ -15,7 +15,7 @@ import pytest
 from repro.arch.encode import Assembler
 from repro.faults.corpus import CORPUS
 from repro.faults.oracle import differences, run_guest
-from repro.interpose import attach
+from repro.interpose import attach, available_tools
 from repro.kernel.machine import Machine
 from repro.kernel.scheduler import SchedulePolicy
 from repro.kernel.syscalls.proc import CLONE_VM, THREAD_FLAGS
@@ -24,6 +24,8 @@ from repro.loader.image import image_from_assembler
 from repro.mem import layout
 from repro.obs.export import export_jsonl
 from repro.obs.tracer import Tracer
+
+from tests.conftest import hello_image
 
 
 def _all_dead(machine):
@@ -98,6 +100,21 @@ def test_single_core_machine_is_the_legacy_machine():
         )
     )
     assert results[0] == results[1] == results[2]
+
+
+@pytest.mark.parametrize("tool", available_tools())
+def test_single_task_clock_matches_across_core_counts(tool):
+    """One task on two cores takes exactly the one-core time, including
+    what the tool charged between ``load`` and the first slice (lazypoline's
+    attach work) — the SMP loop carries it onto the first core entered."""
+    clocks = []
+    for cores in (1, 2):
+        machine = Machine(cores=cores)
+        process = machine.load(hello_image())
+        attach(machine, process, tool)
+        assert machine.run_process(process) == 0
+        clocks.append(machine.clock)
+    assert clocks[0] == clocks[1]
 
 
 # -------------------------------------------------------------- determinism

@@ -7,9 +7,11 @@ simulated cycle counts.  Hypothesis generates adversarial guests — random
 straight-line bodies over the full fused instruction set, conditional
 skips (multiple block heads), self-modifying stores that patch upcoming
 instructions *inside* the hot loop, signal handlers firing between
-iterations, and random scheduler quanta (including quantum=1, where
-blocks never fit the budget and the tier must stand down entirely) — and
-the differential oracle checks every observable in lockstep.
+iterations, loads that fault *inside* a compiled block (full or tail
+variant) and resume after a SIGSEGV handler, and random scheduler quanta
+(including quantum=1, where blocks never fit the budget and the tier must
+stand down entirely) — and the differential oracle checks every
+observable in lockstep.
 """
 
 from __future__ import annotations
@@ -27,11 +29,12 @@ from repro.loader.image import image_from_assembler
 pytestmark = pytest.mark.superblock
 
 # Registers the random body may clobber.  rbp is the loop counter (rcx is syscall-clobbered), rsi
-# the scratch page, r12/r13/r15 the SMC machinery, r14 the signal page —
-# all reserved.
+# the scratch page, r12/r13/r15 the SMC machinery, r14 the signal page,
+# r9 the faulting page and r10 its load target — all reserved.
 POOL = ("rax", "rbx", "rdx", "r8")
 
 SIGUSR1 = 10
+SIGSEGV = 11
 
 
 def _nop_byte() -> int:
@@ -111,9 +114,21 @@ def _emit_op(a: Assembler, k: int, op, skips: list[int]) -> None:
         a.pop(rs)
 
 
-def build_guest(ops, iters: int, smc: bool, signal: bool):
-    """A hot loop of the random body, optionally self-patching and
-    optionally raising SIGUSR1 at itself every iteration."""
+def _mprotect_r9(a: Assembler, prot: int) -> None:
+    a.mov("rdi", "r9")
+    a.mov_imm("rsi", 4096)
+    a.mov_imm("rdx", prot)
+    a.mov_imm("rax", NR["mprotect"])
+    a.syscall()
+
+
+def build_guest(ops, iters: int, smc: bool, signal: bool,
+                fault: bool = False):
+    """A hot loop of the random body, optionally self-patching, optionally
+    raising SIGUSR1 at itself every iteration, and optionally loading from
+    a page it makes ``PROT_NONE`` each iteration — the load sits after
+    the body, inside the compiled block, and faults into a SIGSEGV handler
+    that re-enables the page and counts the fault there."""
     p1, p2 = _patch_words()
     a = Assembler(base=layout.CODE_BASE)
     a.label("_start")
@@ -127,6 +142,24 @@ def build_guest(ops, iters: int, smc: bool, signal: bool):
     a.mov_imm("rax", NR["mmap"])
     a.syscall()
     a.mov("rsi", "rax")
+    if fault:
+        a.mov_imm("rdi", 0)
+        a.push("rsi")
+        a.mov_imm("rsi", 4096)
+        a.mov_imm("rdx", 3)
+        a.mov_imm("r10", 0x22)
+        a.mov_imm("rax", NR["mmap"])
+        a.syscall()
+        a.pop("rsi")
+        a.mov("r9", "rax")
+        a.mov_imm("rdi", SIGSEGV)
+        a.push("rsi")
+        a.mov_imm("rsi", "act_segv")
+        a.mov_imm("rdx", 0)
+        a.mov_imm("r10", 8)
+        a.mov_imm("rax", NR["rt_sigaction"])
+        a.syscall()
+        a.pop("rsi")
     if smc:
         # the loop patches its own code: make the code page writable
         a.mov_imm("rdi", layout.CODE_BASE)
@@ -159,9 +192,20 @@ def build_guest(ops, iters: int, smc: bool, signal: bool):
         a.mov_imm(name, i + 1)
     a.mov_imm("rbp", iters)
     a.label("loop")
+    if fault:
+        a.push("rax")
+        a.push("rdx")
+        a.push("rsi")
+        _mprotect_r9(a, 0)
+        a.pop("rsi")
+        a.pop("rdx")
+        a.pop("rax")
     skips: list[int] = []
     for k, op in enumerate(ops):
         _emit_op(a, k, op, skips)
+    if fault:
+        a.load("r10", "r9", 8)
+        a.add("rax", "r10")
     if smc:
         # overwrite the upcoming patch site, alternating nops / inc rax
         a.store("r12", 0, "r13")
@@ -213,6 +257,19 @@ def build_guest(ops, iters: int, smc: bool, signal: bool):
         a.dq(0)
         a.dq(0)
         a.dq(0)
+    if fault:
+        a.label("segv_handler")
+        _mprotect_r9(a, 3)
+        a.load("rdx", "r9", 8)
+        a.inc("rdx")
+        a.store("r9", 8, "rdx")
+        a.ret()
+        a.align(8, fill=0)
+        a.label("act_segv")
+        a.dq("segv_handler")
+        a.dq(0)
+        a.dq(0)
+        a.dq(0)
     return image_from_assembler("sb-prop", a, entry="_start")
 
 
@@ -261,6 +318,56 @@ def test_lockstep_with_signals(ops, iters, quantum):
     """SIGUSR1 delivered every iteration: handler entries/exits interleave
     with block dispatch at every scheduler quantum."""
     _lockstep(lambda: build_guest(ops, iters, False, True), quantum)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    ops=st.lists(_op, min_size=1, max_size=6),
+    iters=st.integers(min_value=18, max_value=40),
+    quantum=st.sampled_from([1, 2, 3, 5, 7, 13, 31, 64]),
+)
+def test_lockstep_fault_inside_block(ops, iters, quantum):
+    """A load faults mid-block every pass; the SIGSEGV handler re-enables
+    the page and the load re-executes — on full blocks and, where the
+    quantum cuts the run, on tail variants."""
+    _lockstep(lambda: build_guest(ops, iters, False, False, fault=True),
+              quantum)
+
+
+def test_fault_guest_faults_inside_compiled_blocks(monkeypatch):
+    """The faulting guest must take its faults from compiled code — full
+    blocks and tail variants alike — or the lockstep case above never
+    reaches the scheduler's block-fault path."""
+    from repro.cpu.core import CPU
+    from repro.kernel.machine import Machine
+
+    faults = {"full": 0, "tail": 0}
+    compile_superblock = CPU.compile_superblock
+
+    def counting(self, mem, head, tid=-1, max_len=None):
+        block = compile_superblock(self, mem, head, tid, max_len=max_len)
+        fn = block.fn
+        if fn is not None:
+            kind = "full" if max_len is None else "tail"
+
+            def run(task, charge):
+                try:
+                    return fn(task, charge)
+                except Exception:
+                    faults[kind] += 1
+                    raise
+
+            block.fn = run
+        return block
+
+    monkeypatch.setattr(CPU, "compile_superblock", counting)
+    ops = [(0, 0, 1, 0), (2, 1, 2, 0), (8, 3, 0, 7)]
+    for quantum in (64, 7):
+        machine = Machine(quantum=quantum)
+        proc = machine.load(build_guest(ops, 48, False, False, fault=True))
+        machine.run_process(proc)
+        assert proc.exit_code == 0
+    assert faults["full"] >= 16 and faults["tail"] >= 16, faults
 
 
 def test_hot_loop_actually_tiers_up():
