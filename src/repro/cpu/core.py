@@ -840,15 +840,6 @@ class CPU:
         regs.write(RSP, (rsp + 8) & MASK64)
         return value
 
-    @staticmethod
-    def _set_flags(regs, result: int) -> None:
-        result &= MASK64
-        _set_flags(regs, result)
-
-    # --------------------------------------------------------------- execute
-    def _execute(self, task, insn: Instruction, next_rip: int) -> None:
-        DISPATCH[insn.mnemonic.op_index](self, task, insn, next_rip)
-
 
 # ----------------------------------------------------------------- xsave glue
 def xsave_serialize(regs, mask: XComponent) -> bytes:

@@ -40,7 +40,7 @@ Semantics, entry by entry:
 * an argument of the form :func:`ring_result`\\ ``(j)`` is substituted
   with the result already posted at CQ slot ``j`` — io_uring's linked
   SQEs, flattened.  If that result is negative the entry completes with
-  ``-ECANCELED``;
+  ``-ECANCELED``; if slot ``j`` cannot be read, with ``-EFAULT``;
 * a **blocking** entry parks cooperatively exactly like an
   interposer-issued syscall (:meth:`Kernel.dispatch_blocking`); if a
   signal interrupts it, the entry completes with ``-EINTR``;
@@ -56,7 +56,9 @@ Semantics, entry by entry:
 
 ``ring_enter(ring_addr, to_submit, min_complete, flags)`` returns the
 number of entries completed this call (0 if the SQ was empty), or
-``-EINVAL``/``-EFAULT`` for a malformed/unmapped ring.
+``-EINVAL``/``-EFAULT`` for a malformed/unmapped ring.  A ring that
+faults mid-drain returns the count completed so far, or ``-EFAULT`` if
+it faulted before consuming any entry.
 
 Asynchronous drain (``flags & RING_ENTER_ASYNC``)
 -------------------------------------------------
@@ -64,17 +66,25 @@ Asynchronous drain (``flags & RING_ENTER_ASYNC``)
 The synchronous drain above executes entries to completion in order — a
 blocking SQE parks the whole guest, so one worker can never overlap two
 in-flight I/Os.  With :data:`RING_ENTER_ASYNC` set, submission decouples
-from completion, io_uring-style:
+from completion, io_uring-style.  Both modes run one SQE loop
+(:func:`_drain`) and one per-entry gate (:func:`_gate_entry`); the flag
+changes exactly three things:
 
-* an entry whose dispatch would block is captured on a kernel-side
-  :class:`~repro.kernel.waits.RingWaiter` (``task.ring_waiters``) and the
-  drain *continues* with the next SQE; ``sq_head`` still advances per
-  consumed entry, but the CQE for a parked entry posts later, when its
-  wakeup fires;
-* an entry whose result link targets a currently *parked* slot parks as a
-  dependent: it first executes (gate included) once those slots complete;
-* ``cq_tail`` counts posted CQEs, so it advances out of submission order;
-  CQEs stay slot-correlated, which is how the guest matches completions;
+1. an entry whose result link targets a currently *parked* slot parks as
+   a dependent *before* it is gated: it is gated and executed once those
+   slots complete;
+2. an entry whose dispatch would block is captured on a kernel-side
+   :class:`~repro.kernel.waits.RingWaiter` (``task.ring_waiters``) and
+   the drain *continues* with the next SQE, where the synchronous drain
+   waits in place (:meth:`Kernel.dispatch_blocking`); ``sq_head`` still
+   advances per consumed entry, but the CQE for a parked entry posts
+   later, when its wakeup fires;
+3. ``cq_tail`` counts posted CQEs, so it advances out of submission order
+   (the synchronous drain publishes ``cq_tail = sq_head``); CQEs stay
+   slot-correlated, which is how the guest matches completions.
+
+Beyond the drain itself:
+
 * parked entries are driven at every safe point — each subsequent
   ``ring_enter``, each scheduler slice boundary, and while the guest
   waits (below) — so no wakeup is ever lost;
@@ -93,8 +103,9 @@ which CQEs appear (and the guest's ability to overlap) differs.
 Interposition tools see a *single* ``ring_enter`` crossing — one SUD
 selector read, one sled transit, one rewrite, one ptrace stop pair — no
 matter how many entries it drains.  Per-entry attribution is preserved in
-the obs stream: the tracer gets one ``ring_enter`` event per crossing and
-one ``ring_entry`` event per drained entry (plus the usual ``syscall``
+the obs stream: the tracer gets one ``ring_enter`` event per crossing
+that had entries pending (a drain cut short by a ring fault included) and
+one ``ring_entry`` event per completed entry (plus the usual ``syscall``
 dispatch events).
 """
 
@@ -202,12 +213,22 @@ def _resolve_args(mem, cq_base: int, capacity: int, raw_args) -> tuple | int:
     return tuple(resolved)
 
 
-def _execute_entry(kernel, task, sysno: int, raw_args, cq_base: int,
-                   capacity: int) -> int:
-    """Run one SQE through gate + dispatch; always returns a result."""
+def _gate_entry(kernel, task, sysno: int, raw_args, cq_base: int,
+                capacity: int) -> tuple | int:
+    """Gate one SQE: its resolved args if it may dispatch, else its result.
+
+    The one gate every entry passes, in either mode and whether it runs at
+    submission or later as a released dependent: the :data:`RINGABLE`
+    allowlist, result-link substitution (an unreadable link slot completes
+    the entry with ``-EFAULT``), then the interception gate with
+    ``sud=False``.
+    """
     if sysno not in RINGABLE:
         return -errno.EINVAL
-    args = _resolve_args(task.mem, cq_base, capacity, raw_args)
+    try:
+        args = _resolve_args(task.mem, cq_base, capacity, raw_args)
+    except PageFault:
+        return -errno.EFAULT
     if isinstance(args, int):
         return args
     gate = kernel._interception_gate(task, sysno, args, insn_addr=0,
@@ -217,26 +238,27 @@ def _execute_entry(kernel, task, sysno: int, raw_args, cq_base: int,
     if gate == "handled":
         # RET_TRAP delivered SIGSYS (or the task was killed).  Complete
         # the entry with -EINTR so the drain makes forward progress; the
-        # pending signal stops the drain at the top of the loop.
+        # pending signal stops the drain after this entry.
         return -errno.EINTR
-    ret = kernel.dispatch_blocking(task, sysno, args)
-    return 0 if ret is None else ret
+    return args
 
 
-# ------------------------------------------------------------- async drain
+# ----------------------------------------------------------- parked entries
 #: Sentinel: the waiter's dispatch blocked (again); it stays parked.
 _STILL_PARKED = object()
 
 
 def _post_cqe(mem, ring: int, cq_base: int, slot: int, res: int,
-              user_data: int) -> None:
-    """Post one CQE and advance the published ``cq_tail`` (async mode:
-    ``cq_tail`` counts completions, which may land out of slot order)."""
+              user_data: int, cq_tail: int | None = None) -> None:
+    """Post one CQE and publish ``cq_tail``: the given value, or by
+    default one more than the published one (async mode, where
+    ``cq_tail`` counts completions that may land out of slot order)."""
     cqe = cq_base + slot * CQE_SIZE
     mem.write_u64(cqe + CQE_RES, res & MASK64, check="write")
     mem.write_u64(cqe + CQE_USER_DATA, user_data, check="write")
-    cq_tail = mem.read_u64(ring + HDR_CQ_TAIL, check="read")
-    mem.write_u64(ring + HDR_CQ_TAIL, cq_tail + 1, check="write")
+    if cq_tail is None:
+        cq_tail = mem.read_u64(ring + HDR_CQ_TAIL, check="read") + 1
+    mem.write_u64(ring + HDR_CQ_TAIL, cq_tail, check="write")
 
 
 def _link_deps(task, ring: int, raw_args) -> set:
@@ -290,31 +312,6 @@ def _dispatch_waiter(kernel, task, waiter):
         waiter.ready = block.ready
         return _STILL_PARKED
     return 0 if ret is None else ret
-
-
-def _start_waiter(kernel, task, waiter):
-    """First execution of a dependency-parked entry (deps resolved).
-
-    Mirrors :func:`_execute_entry`'s gate sequence, but dispatches
-    non-blockingly — a block re-parks the waiter on its own predicate.
-    """
-    if waiter.sysno not in RINGABLE:
-        return -errno.EINVAL
-    try:
-        args = _resolve_args(task.mem, waiter.cq_base, waiter.capacity,
-                             waiter.raw_args)
-    except PageFault:
-        return -errno.EFAULT
-    if isinstance(args, int):
-        return args
-    gate = kernel._interception_gate(task, waiter.sysno, args, insn_addr=0,
-                                     sud=False)
-    if isinstance(gate, tuple):
-        return gate[1]
-    if gate == "handled":
-        return -errno.EINTR
-    waiter.args = args
-    return _dispatch_waiter(kernel, task, waiter)
 
 
 def _complete_waiter(kernel, task, waiter, res: int) -> None:
@@ -372,7 +369,13 @@ def complete_ring_waiters(kernel, task) -> int:
             if waiter.deps:
                 continue
             if waiter.args is None:
-                res = _start_waiter(kernel, task, waiter)
+                # First run of a released dependent: gate it now.
+                res = _gate_entry(kernel, task, waiter.sysno,
+                                  waiter.raw_args, waiter.cq_base,
+                                  waiter.capacity)
+                if isinstance(res, tuple):
+                    waiter.args = res
+                    res = _dispatch_waiter(kernel, task, waiter)
             elif waiter.ready is not None and waiter.ready():
                 res = _dispatch_waiter(kernel, task, waiter)
             else:
@@ -385,27 +388,29 @@ def complete_ring_waiters(kernel, task) -> int:
     return completed
 
 
-def _submit_async(kernel, task, ring, sq_head, pending, sq_cap, sq_base,
-                  cq_base):
-    """Consume up to ``pending`` SQEs without ever blocking the drain.
+def _drain(kernel, task, ring, sq_head, pending, sq_cap, cq_base,
+           is_async):
+    """Consume up to ``pending`` SQEs from ``sq_head``: the one SQE loop.
 
-    Returns ``(completed, consumed, fault)``; ``fault`` is True when the
-    ring itself faulted mid-drain (the caller maps that to ``-EFAULT``
-    only if nothing was consumed, mirroring the synchronous drain).
+    Returns ``(completed, consumed, faulted)``; ``faulted`` is True when
+    the ring itself faulted mid-drain (the caller maps that to ``-EFAULT``
+    only if nothing was consumed).  The two modes differ at the three
+    points marked (1)-(3); see the module docstring.
     """
     mem = task.mem
-    costs = kernel.costs
     tracer = kernel.tracer
-    completed = 0
-    consumed = 0
+    per_entry = kernel.costs.uring_per_entry
+    sq_base = ring + HEADER_SIZE
+    completed = consumed = 0
     while consumed < pending and task.alive:
-        # Same signal semantics as the synchronous drain: a deliverable
-        # signal stops submission between entries, never before the first.
+        # A deliverable signal stops the drain between entries — the same
+        # way it interrupts a blocking syscall — but never before the
+        # first entry, so a re-entered ring always makes progress.
         if consumed and task.has_deliverable_signal():
             break
         slot = sq_head % sq_cap
         entry_start = kernel.clock
-        kernel.charge(task, costs.uring_per_entry)
+        kernel.charge(task, per_entry)
         try:
             sqe = sq_base + slot * SQE_SIZE
             sysno = to_signed(mem.read_u64(sqe + SQE_SYSNO, check="read"))
@@ -416,48 +421,52 @@ def _submit_async(kernel, task, ring, sq_head, pending, sq_cap, sq_base,
             user_data = mem.read_u64(sqe + SQE_USER_DATA, check="read")
         except PageFault:
             return completed, consumed, True
-        parked = False
-        res = -errno.EINVAL
-        deps = _link_deps(task, ring, raw_args)
-        if deps:
-            _park_entry(kernel, task, ring=ring, slot=slot, index=sq_head,
-                        sysno=sysno, raw_args=raw_args, user_data=user_data,
-                        cq_base=cq_base, capacity=sq_cap, deps=deps)
-            parked = True
-        elif sysno in RINGABLE:
-            args = _resolve_args(mem, cq_base, sq_cap, raw_args)
-            if isinstance(args, int):
-                res = args
-            else:
-                gate = kernel._interception_gate(task, sysno, args,
-                                                 insn_addr=0, sud=False)
-                if isinstance(gate, tuple):
-                    res = gate[1]
-                elif gate == "handled":
-                    res = -errno.EINTR
+        # ``park`` is ``(deps, args, ready)`` for an entry that parks.
+        park = None
+        if is_async:
+            # (1) A link to a parked slot parks the entry *before* gating.
+            deps = _link_deps(task, ring, raw_args)
+            if deps:
+                park = (deps, None, None)
+        if park is None:
+            res = _gate_entry(kernel, task, sysno, raw_args, cq_base, sq_cap)
+            if isinstance(res, tuple):
+                args = res
+                # (2) A dispatch that would block waits in place (sync) or
+                # parks on a RingWaiter while the drain moves on (async).
+                if not is_async:
+                    res = kernel.dispatch_blocking(task, sysno, args)
                 else:
                     try:
-                        ret = kernel.dispatch(task, sysno, args)
-                        res = 0 if ret is None else ret
+                        res = kernel.dispatch(task, sysno, args)
                     except WouldBlock as block:
-                        _park_entry(kernel, task, ring=ring, slot=slot,
-                                    index=sq_head, sysno=sysno,
-                                    raw_args=raw_args, user_data=user_data,
-                                    cq_base=cq_base, capacity=sq_cap,
-                                    deps=set(), args=args,
-                                    ready=block.ready)
-                        parked = True
+                        park = (set(), args, block.ready)
+                if res is None:
+                    res = 0
+        if park is not None:
+            _park_entry(kernel, task, ring=ring, slot=slot, index=sq_head,
+                        sysno=sysno, raw_args=raw_args, user_data=user_data,
+                        cq_base=cq_base, capacity=sq_cap, deps=park[0],
+                        args=park[1], ready=park[2])
         if not task.alive:
             break
         try:
-            if not parked:
-                _post_cqe(mem, ring, cq_base, slot, res, user_data)
+            if park is None:
+                # (3) The sync drain completes exactly the entries it
+                # consumes, so cq_tail is *coupled* to sq_head: a SIGSYS
+                # handler that re-arms a trapped entry (rewinding sq_head
+                # to retry it) then overwrites the stale -EINTR CQE
+                # instead of double-counting it.  Async counts postings.
+                _post_cqe(mem, ring, cq_base, slot, res, user_data,
+                          None if is_async else sq_head + 1)
             sq_head += 1
+            # Publish per entry so a partially drained ring is always
+            # observable and resumable by the guest.
             mem.write_u64(ring + HDR_SQ_HEAD, sq_head, check="write")
         except PageFault:
             return completed, consumed, True
         consumed += 1
-        if not parked:
+        if park is None:
             completed += 1
             if tracer is not None:
                 tracer.ring_entry(
@@ -466,7 +475,7 @@ def _submit_async(kernel, task, ring, sq_head, pending, sq_cap, sq_base,
                     cycles=kernel.clock - entry_start,
                 )
             if res == -errno.EINTR and task.has_deliverable_signal():
-                break
+                break  # the interrupted entry's CQE is posted; handler next
     return completed, consumed, False
 
 
@@ -485,7 +494,6 @@ def sys_ring_enter(kernel, task, args):
     try:
         sq_head = mem.read_u64(ring + HDR_SQ_HEAD, check="read")
         sq_tail = mem.read_u64(ring + HDR_SQ_TAIL, check="read")
-        cq_tail = mem.read_u64(ring + HDR_CQ_TAIL, check="read")
         sq_cap = mem.read_u64(ring + HDR_SQ_CAP, check="read")
         cq_cap = mem.read_u64(ring + HDR_CQ_CAP, check="read")
     except PageFault:
@@ -498,104 +506,40 @@ def sys_ring_enter(kernel, task, args):
     if to_submit:
         pending = min(pending, to_submit)
 
-    tracer = kernel.tracer
-    drain_start = kernel.clock if tracer is not None else 0
-    costs = kernel.costs
-    sq_base = ring + HEADER_SIZE
-    cq_base = ring + HEADER_SIZE + sq_cap * SQE_SIZE
-
-    if is_async:
-        completed = parked = 0
-        if pending:
-            completed, consumed, faulted = _submit_async(
-                kernel, task, ring, sq_head, pending, sq_cap, sq_base,
-                cq_base,
-            )
-            if not task.alive:
-                return None
-            parked = consumed - completed
-            if tracer is not None:
-                tracer.ring_enter(
-                    kernel.clock, task.tid, submitted=pending,
-                    completed=completed, cycles=kernel.clock - drain_start,
-                    parked=parked,
-                )
-            if faulted and consumed == 0:
-                return -errno.EFAULT
-        if min_complete:
-            # ring_wait: block (interruptibly, like any blocking syscall)
-            # until the published cq_tail reaches min_complete.  The
-            # readiness predicate drives the parked entries itself, so
-            # waiting is what makes their wakeups fire.
-            def cq_ready():
-                complete_ring_waiters(kernel, task)
-                try:
-                    tail = mem.read_u64(ring + HDR_CQ_TAIL, check="read")
-                except PageFault:
-                    return True
-                if tail >= min_complete:
-                    return True
-                # Nothing parked can ever post another CQE: waiting more
-                # would deadlock, so the call returns short instead.
-                return not task.ring_waiters
-            if not cq_ready():
-                raise WouldBlock(cq_ready)
-        return drive_completed + completed
-
-    if pending == 0:
-        return 0
     completed = 0
-    while completed < pending and task.alive:
-        # A deliverable signal stops the drain between entries — the same
-        # way it interrupts a blocking syscall — but never before the
-        # first entry, so a re-entered ring always makes progress.
-        if completed and task.has_deliverable_signal():
-            break
-        slot = sq_head % sq_cap
-        entry_start = kernel.clock
-        kernel.charge(task, costs.uring_per_entry)
-        try:
-            sqe = sq_base + slot * SQE_SIZE
-            sysno = to_signed(mem.read_u64(sqe + SQE_SYSNO, check="read"))
-            raw_args = tuple(
-                mem.read_u64(sqe + SQE_ARGS + 8 * k, check="read")
-                for k in range(6)
-            )
-            user_data = mem.read_u64(sqe + SQE_USER_DATA, check="read")
-        except PageFault:
-            return -errno.EFAULT if completed == 0 else completed
-        res = _execute_entry(kernel, task, sysno, raw_args, cq_base, sq_cap)
+    if pending:
+        tracer = kernel.tracer
+        drain_start = kernel.clock
+        cq_base = ring + HEADER_SIZE + sq_cap * SQE_SIZE
+        completed, consumed, faulted = _drain(
+            kernel, task, ring, sq_head, pending, sq_cap, cq_base, is_async,
+        )
         if not task.alive:
             return None
-        try:
-            cqe = cq_base + slot * CQE_SIZE
-            mem.write_u64(cqe + CQE_RES, res & MASK64, check="write")
-            mem.write_u64(cqe + CQE_USER_DATA, user_data, check="write")
-            sq_head += 1
-            # The synchronous drain completes exactly the entries it
-            # consumes, so cq_tail is *coupled* to sq_head rather than
-            # incremented: a SIGSYS handler that re-arms a trapped entry
-            # (rewinding sq_head to retry it) then overwrites the stale
-            # -EINTR CQE instead of double-counting it.
-            cq_tail = sq_head
-            # Publish per entry so a partially drained ring is always
-            # observable and resumable by the guest.
-            mem.write_u64(ring + HDR_SQ_HEAD, sq_head, check="write")
-            mem.write_u64(ring + HDR_CQ_TAIL, cq_tail, check="write")
-        except PageFault:
-            return -errno.EFAULT if completed == 0 else completed
-        completed += 1
         if tracer is not None:
-            tracer.ring_entry(
-                kernel.clock, task.tid, index=sq_head - 1, sysno=sysno,
-                name=syscall_name(sysno), ret=res, user_data=user_data,
-                cycles=kernel.clock - entry_start,
+            tracer.ring_enter(
+                kernel.clock, task.tid, submitted=pending,
+                completed=completed, cycles=kernel.clock - drain_start,
+                parked=consumed - completed,
             )
-        if res == -errno.EINTR and task.has_deliverable_signal():
-            break  # the interrupted entry's CQE is posted; handler runs next
-    if tracer is not None:
-        tracer.ring_enter(
-            kernel.clock, task.tid, submitted=pending, completed=completed,
-            cycles=kernel.clock - drain_start,
-        )
-    return completed
+        if faulted and consumed == 0:
+            return -errno.EFAULT
+    if is_async and min_complete:
+        # ring_wait: block (interruptibly, like any blocking syscall)
+        # until the published cq_tail reaches min_complete.  The
+        # readiness predicate drives the parked entries itself, so
+        # waiting is what makes their wakeups fire.
+        def cq_ready():
+            complete_ring_waiters(kernel, task)
+            try:
+                tail = mem.read_u64(ring + HDR_CQ_TAIL, check="read")
+            except PageFault:
+                return True
+            if tail >= min_complete:
+                return True
+            # Nothing parked can ever post another CQE: waiting more
+            # would deadlock, so the call returns short instead.
+            return not task.ring_waiters
+        if not cq_ready():
+            raise WouldBlock(cq_ready)
+    return drive_completed + completed

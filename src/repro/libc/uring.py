@@ -202,9 +202,10 @@ class GuestRing:
         # send(fd, buf, n, 0) on a connected socket == write(fd, buf, n)
         return self.push("write", fd, buf, count)
 
-    def _enter_loop(self, target_head: int, *, min_complete: int = 0,
-                    flags: int = 0) -> None:
-        """Emit ring_enter, re-entering until ``sq_head == target_head``.
+    def _submit(self, n: int, *, min_complete: int = 0,
+                flags: int = 0) -> int:
+        """Publish ``sq_tail = n`` and emit ring_enter, re-entering until
+        ``sq_head == n``.
 
         The loop is what makes signal interruption invisible to the guest
         in the common case: a partial drain returns early (the handler
@@ -213,6 +214,8 @@ class GuestRing:
         entries, never losing the remainder.
         """
         a, s = self.asm, self.scratch
+        a.mov_imm(s, n)
+        a.store(self.base, self.disp + HDR_SQ_TAIL, s)
         label = f"__{self.tag}_enter_{self._label_seq}"
         self._label_seq += 1
         a.label(label)
@@ -223,17 +226,13 @@ class GuestRing:
         a.mov_imm("rax", NR["ring_enter"])
         a.syscall()
         a.load(s, self.base, self.disp + HDR_SQ_HEAD)
-        a.cmpi(s, target_head)
+        a.cmpi(s, n)
         a.jnz(label)
+        return n
 
     def submit(self) -> int:
         """Publish all pushed entries and drain them with one crossing."""
-        n = self._next_slot
-        a, s = self.asm, self.scratch
-        a.mov_imm(s, n)
-        a.store(self.base, self.disp + HDR_SQ_TAIL, s)
-        self._enter_loop(n)
-        return n
+        return self._submit(self._next_slot)
 
     def submit_async(self, *, min_complete: int = 0) -> int:
         """Publish all pushed entries through an *asynchronous* drain.
@@ -243,13 +242,8 @@ class GuestRing:
         in-flight I/O.  With ``min_complete`` the same crossing then
         waits until that many CQEs have posted (submit-and-wait).
         """
-        n = self._next_slot
-        a, s = self.asm, self.scratch
-        a.mov_imm(s, n)
-        a.store(self.base, self.disp + HDR_SQ_TAIL, s)
-        self._enter_loop(n, min_complete=min_complete,
-                         flags=RING_ENTER_ASYNC)
-        return n
+        return self._submit(self._next_slot, min_complete=min_complete,
+                            flags=RING_ENTER_ASYNC)
 
     def wait(self, min_complete: int) -> None:
         """Emit a ``ring_wait``: block until ``cq_tail >= min_complete``.
@@ -272,23 +266,6 @@ class GuestRing:
         a.cmpi(s, min_complete)
         a.jl(label)
 
-    def flush(self, n: int | None = None) -> None:
-        """Re-submit slots ``0..n-1`` (already written) with one crossing.
-
-        Rewinds the cursors, so the SQE stores are paid once at setup and
-        the steady-state loop costs only the enter itself.
-        """
-        if n is None:
-            n = self._next_slot
-        a, s = self.asm, self.scratch
-        a.mov_imm(s, 0)
-        a.store(self.base, self.disp + HDR_SQ_HEAD, s)
-        a.store(self.base, self.disp + HDR_CQ_HEAD, s)
-        a.store(self.base, self.disp + HDR_CQ_TAIL, s)
-        a.mov_imm(s, n)
-        a.store(self.base, self.disp + HDR_SQ_TAIL, s)
-        self._enter_loop(n)
-
     def rewind(self) -> None:
         """Rewind all cursors guest-side *without* entering — the prologue
         of a steady-state wave that re-pushes entries before submitting."""
@@ -297,21 +274,14 @@ class GuestRing:
         for off in (HDR_SQ_HEAD, HDR_CQ_HEAD, HDR_CQ_TAIL):
             a.store(self.base, self.disp + off, s)
 
-    def flush_async(self, n: int | None = None, *,
-                    min_complete: int = 0) -> None:
-        """Async counterpart of :meth:`flush`: rewind the cursors and
-        re-submit slots ``0..n-1`` through the asynchronous drain."""
-        if n is None:
-            n = self._next_slot
-        a, s = self.asm, self.scratch
-        a.mov_imm(s, 0)
-        a.store(self.base, self.disp + HDR_SQ_HEAD, s)
-        a.store(self.base, self.disp + HDR_CQ_HEAD, s)
-        a.store(self.base, self.disp + HDR_CQ_TAIL, s)
-        a.mov_imm(s, n)
-        a.store(self.base, self.disp + HDR_SQ_TAIL, s)
-        self._enter_loop(n, min_complete=min_complete,
-                         flags=RING_ENTER_ASYNC)
+    def flush(self, n: int | None = None) -> None:
+        """Re-submit slots ``0..n-1`` (already written) with one crossing.
+
+        Rewinds the cursors, so the SQE stores are paid once at setup and
+        the steady-state loop costs only the enter itself.
+        """
+        self.rewind()
+        self._submit(self._next_slot if n is None else n)
 
     # ------------------------------------------------------------- completion
     def on_completion(self, slot: int, emit) -> None:

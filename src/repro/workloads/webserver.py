@@ -60,6 +60,43 @@ LIGHTTPD = ServerSpec(name="lighttpd", parse_cost=9800, delivery="readwrite")
 SERVERS = {spec.name: spec for spec in (NGINX, LIGHTTPD)}
 
 
+def _push_response_tail(a, ring, spec: ServerSpec, filebuf: int) -> None:
+    """Push one request's response tail onto ``ring``: open / fstat /
+    header write / delivery / close for the connection fd in ``r13``.
+
+    The opened fd is not known until drain time, so the downstream
+    entries reference it with result links.  ``filebuf`` is the
+    read/write delivery's bounce buffer, as an offset from ``r15``.
+    """
+    a.lea("rdx", "r15", _ADDR + 16)  # fstat buffer
+    fd = ring_result(ring.push("open", "file_path", 0, 0))
+    ring.push("fstat", fd, "rdx")
+    if spec.delivery == "sendfile":
+        ring.push_write("r13", "header", HEADER_SIZE)
+        ring.push("sendfile", "r13", fd, 0, CHUNK)
+    else:
+        a.lea("rsi", "r15", filebuf)
+        nread = ring_result(ring.push_read(fd, "rsi", CHUNK))
+        ring.push_write("r13", "header", HEADER_SIZE)
+        ring.push_write("r13", "rsi", nread)
+    ring.push("close", fd)
+
+
+def _tail_entries(spec: ServerSpec) -> int:
+    """SQEs :func:`_push_response_tail` pushes for one request."""
+    return 5 if spec.delivery == "sendfile" else 6
+
+
+def _emit_data(a, spec: ServerSpec) -> None:
+    """The server's data section: the served file's path and the
+    response header."""
+    a.label("file_path")
+    a.db(FILE_PATH.encode() + b"\x00")
+    a.label("header")
+    header = b"HTTP/1.1 200 OK\r\nServer: %s\r\n\r\n" % spec.name.encode()
+    a.db(header.ljust(HEADER_SIZE, b"\x00"))
+
+
 def build_server_image(
     spec: ServerSpec,
     parse_hcall: int,
@@ -208,20 +245,8 @@ def build_server_image(
 
     if batched:
         # The whole response tail rides the ring: one crossing instead of
-        # five (nginx) / six (lighttpd).  The opened fd is not known until
-        # drain time, so downstream entries reference it with result links.
-        a.lea("rdx", "r15", _ADDR + 16)  # fstat buffer
-        fd = ring_result(ring.push("open", "file_path", 0, 0))
-        ring.push("fstat", fd, "rdx")
-        if spec.delivery == "sendfile":
-            ring.push_write("r13", "header", HEADER_SIZE)
-            ring.push("sendfile", "r13", fd, 0, CHUNK)
-        else:
-            a.lea("rsi", "r15", _FILEBUF)
-            nread = ring_result(ring.push_read(fd, "rsi", CHUNK))
-            ring.push_write("r13", "header", HEADER_SIZE)
-            ring.push_write("r13", "rsi", nread)
-        ring.push("close", fd)
+        # five (nginx) / six (lighttpd).
+        _push_response_tail(a, ring, spec, _FILEBUF)
         ring.flush()
         ring.reset()
         a.jmp("loop")
@@ -283,12 +308,7 @@ def build_server_image(
     sys("close")
     a.jmp("loop")
 
-    # ---------------------------------------------------------------- data
-    a.label("file_path")
-    a.db(FILE_PATH.encode() + b"\x00")
-    a.label("header")
-    header = b"HTTP/1.1 200 OK\r\nServer: %s\r\n\r\n" % spec.name.encode()
-    a.db(header.ljust(HEADER_SIZE, b"\x00"))
+    _emit_data(a, spec)
     name = spec.name + ("-batched" if batched else "")
     return image_from_assembler(name, a, entry="_start")
 
@@ -320,7 +340,8 @@ def build_async_server_image(
     req0 = connfd + 8 * depth  # per-connection request buffers
     filebuf = (req0 + 256 * depth + 63) & ~63
     ring_off = filebuf + CHUNK
-    entries = 6 * depth  # one read + five response entries per connection
+    # One read plus one response tail per connection.
+    entries = (1 + _tail_entries(spec)) * depth
     bufsize = ring_off + ring_region_size(entries)
 
     def sys(name):
@@ -385,27 +406,11 @@ def build_async_server_image(
     for i in range(depth):
         a.hcall(parse_hcall)  # request parsing + header build (user code)
         a.load("r13", "r15", connfd + 8 * i)
-        a.lea("rdx", "r15", _ADDR + 16)  # fstat buffer
-        fd = ring_result(ring.push("open", "file_path", 0, 0))
-        ring.push("fstat", fd, "rdx")
-        if spec.delivery == "sendfile":
-            ring.push_write("r13", "header", HEADER_SIZE)
-            ring.push("sendfile", "r13", fd, 0, CHUNK)
-        else:
-            a.lea("rsi", "r15", filebuf)
-            nread = ring_result(ring.push_read(fd, "rsi", CHUNK))
-            ring.push_write("r13", "header", HEADER_SIZE)
-            ring.push_write("r13", "rsi", nread)
-        ring.push("close", fd)
+        _push_response_tail(a, ring, spec, filebuf)
     ring.submit_async(min_complete=entries)
     a.jmp("loop")
 
-    # ---------------------------------------------------------------- data
-    a.label("file_path")
-    a.db(FILE_PATH.encode() + b"\x00")
-    a.label("header")
-    header = b"HTTP/1.1 200 OK\r\nServer: %s\r\n\r\n" % spec.name.encode()
-    a.db(header.ljust(HEADER_SIZE, b"\x00"))
+    _emit_data(a, spec)
     return image_from_assembler(spec.name + "-async", a, entry="_start")
 
 

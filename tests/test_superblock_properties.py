@@ -9,9 +9,13 @@ skips (multiple block heads), self-modifying stores that patch upcoming
 instructions *inside* the hot loop, signal handlers firing between
 iterations, loads that fault *inside* a compiled block (full or tail
 variant) and resume after a SIGSEGV handler, and random scheduler quanta
-(including quantum=1, where blocks never fit the budget and the tier must
-stand down entirely) — and the differential oracle checks every
-observable in lockstep.
+— and the differential oracle checks every observable in lockstep.
+
+Quantum 1 does not switch the tier off.  Full blocks still compile but
+never fit the one-instruction budget, so compiled code runs only as
+one-instruction ``(head, 1)`` tail variants.  The quantum=1 cases
+are the suite's coverage of those one-instruction tails; no workload
+runs at quantum 1.
 """
 
 from __future__ import annotations

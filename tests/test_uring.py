@@ -32,6 +32,7 @@ from repro.kernel.uring import (
     HDR_SQ_HEAD,
     HDR_SQ_TAIL,
     MAX_ENTRIES,
+    RING_ENTER_ASYNC,
     SQE_ARGS,
     SQE_SYSNO,
     SQE_USER_DATA,
@@ -93,9 +94,9 @@ class RingMem:
                      args[k] if k < len(args) else 0)
         self.w64(base + SQE_USER_DATA, user_data)
 
-    def enter(self, to_submit=0):
+    def enter(self, to_submit=0, flags=0):
         return self.machine.kernel.dispatch(
-            self.task, RING_ENTER, (self.addr, to_submit, 0, 0, 0, 0)
+            self.task, RING_ENTER, (self.addr, to_submit, 0, flags, 0, 0)
         )
 
     def result(self, slot):
@@ -268,6 +269,51 @@ def test_ring_obs_events_and_cycle_attribution():
     # followed by the ring_enter crossing itself.
     names = [e.data["name"] for e in tracer.events if e.kind == K.SYSCALL]
     assert names == ["getpid", "lseek", "ring_enter"]
+
+
+@pytest.mark.parametrize("flags", [0, RING_ENTER_ASYNC])
+def test_unreadable_link_slot_completes_efault(flags):
+    """A result link whose CQ slot cannot be read completes its entry with
+    -EFAULT in either mode, instead of faulting the whole crossing."""
+    machine, task = idle_machine()
+    ring = RingMem(machine, task, entries=240)
+    # CQ slot 100 lives on the ring's page 4, CQ slot 0 on page 3.
+    assert cqe_offset(240, 100) // 4096 == 4
+    assert cqe_offset(240, 0) // 4096 == 3
+    task.mem.protect(ring.addr + 4 * 4096, 4096, Perm.NONE)
+    ring.push(0, "dup", ring_result(100))
+    ring.w64(HDR_SQ_TAIL, 1)
+    assert ring.enter(flags=flags) == 1
+    assert ring.result(0) == -errno.EFAULT
+    assert ring.r64(HDR_SQ_HEAD) == 1
+    assert not task.ring_waiters
+
+
+@pytest.mark.parametrize("flags", [0, RING_ENTER_ASYNC])
+def test_ring_fault_mid_drain_emits_one_ring_enter(flags):
+    """A drain cut short by an unreadable SQE still emits its one
+    ring_enter event, in either mode — whether it returns the partial
+    count or, having consumed nothing, -EFAULT."""
+    tracer = Tracer()
+    machine, task = idle_machine(tracer=tracer)
+    ring = RingMem(machine, task, entries=128)
+    for slot in range(70):
+        ring.push(slot, "getpid")
+    ring.w64(HDR_SQ_TAIL, 70)
+    # SQEs 63.. live on the ring's page 1.
+    assert sqe_offset(63) // 4096 == 1 and sqe_offset(62) // 4096 == 0
+    task.mem.protect(ring.addr + 4096, 4096, Perm.NONE)
+    assert ring.enter(flags=flags) == 63
+    assert ring.r64(HDR_SQ_HEAD) == 63
+    assert ring.r64(HDR_CQ_TAIL) == 63
+    # Re-entering faults on the very first SQE: nothing is consumed.
+    assert ring.enter(flags=flags) == -errno.EFAULT
+    assert ring.r64(HDR_SQ_HEAD) == 63
+    enters = [e.data for e in tracer.events if e.kind == K.RING_ENTER]
+    assert [(e["submitted"], e["completed"]) for e in enters] == [
+        (70, 63), (7, 0)]
+    assert not any("parked" in e for e in enters)
+    assert tracer.ring_enters == 2
 
 
 # ------------------------------------------------------------- guest harness

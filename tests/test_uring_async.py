@@ -335,6 +335,24 @@ def test_async_webserver_overlaps_blocking_reads():
     assert tracer.ring_completes == tracer.ring_parks
 
 
+def test_async_webserver_sizes_ring_for_readwrite_delivery():
+    """lighttpd's read/write delivery pushes six response SQEs, not
+    nginx's five; the event-loop ring is sized from the tail it pushes,
+    so the lighttpd leg builds and overlaps its reads like nginx's."""
+    from repro.workloads.webserver import LIGHTTPD, ServerWorkload
+
+    tracer = Tracer()
+    machine = Machine(tracer=tracer)
+    workload = ServerWorkload(machine, LIGHTTPD, file_size=4096,
+                              batched="async", async_depth=6)
+    rps = workload.benchmark(requests=24, warmup=4, connections=6,
+                             client_cycles_per_request=120_000)
+    assert rps > 0
+    peak = max(t.ring_parked_peak for t in machine.kernel.tasks.values())
+    assert peak >= 4
+    assert tracer.ring_completes == tracer.ring_parks > 0
+
+
 def test_async_webserver_beats_sync_batched_when_clients_are_instant():
     """With zero think time the async leg degenerates gracefully: no
     parking (data is always ready), same request accounting."""
