@@ -108,36 +108,6 @@ class RegisterFile:
         self.x87_top = min(self.x87_top + 1, X87_DEPTH)
         return value
 
-    # -- state capture -----------------------------------------------------
-    def snapshot_gprs(self) -> tuple[int, ...]:
-        return tuple(self.gpr)
-
-    def restore_gprs(self, snap: tuple[int, ...]) -> None:
-        self.gpr[:] = snap
-
-    def snapshot_xstate(self, components: XComponent) -> dict:
-        """Capture selected extended-state components (xsave analogue)."""
-        snap: dict = {"components": components}
-        if components & XComponent.SSE:
-            snap["xmm"] = tuple(self.xmm)
-        if components & XComponent.AVX:
-            snap["ymm_high"] = tuple(self.ymm_high)
-        if components & XComponent.X87:
-            snap["x87"] = tuple(self.x87)
-            snap["x87_top"] = self.x87_top
-        return snap
-
-    def restore_xstate(self, snap: dict) -> None:
-        """Restore components captured by :meth:`snapshot_xstate`."""
-        components: XComponent = snap["components"]
-        if components & XComponent.SSE:
-            self.xmm[:] = snap["xmm"]
-        if components & XComponent.AVX:
-            self.ymm_high[:] = snap["ymm_high"]
-        if components & XComponent.X87:
-            self.x87[:] = snap["x87"]
-            self.x87_top = snap["x87_top"]
-
     def copy(self) -> "RegisterFile":
         clone = RegisterFile(
             gpr=list(self.gpr),

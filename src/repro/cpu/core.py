@@ -65,7 +65,8 @@ XSAVE_X87_OFF = XSAVE_YMM_OFF + 16 * 16
 XSAVE_TOP_OFF = XSAVE_X87_OFF + 8 * 8
 XSAVE_AREA_SIZE = 1024
 
-_COMPONENT_BITS = ((XComponent.X87, 1), (XComponent.SSE, 2), (XComponent.AVX, 4))
+#: The x87 component: eight u64 stack slots at ``XSAVE_X87_OFF``.
+_X87_SLOTS = struct.Struct("<8Q")
 
 #: Entries per address-space insn cache before a wholesale clear.  Generous:
 #: guest images are a few pages of code, so this only trips on pathological
@@ -842,27 +843,28 @@ class CPU:
 
 
 # ----------------------------------------------------------------- xsave glue
+# The area's header bits are the XComponent values (x87 = 1, SSE = 2,
+# AVX = 4), and each component moves as one slice of the area.
+def _vectors_out(values) -> bytes:
+    return b"".join(v.to_bytes(16, "little") for v in values)
+
+
+def _vectors_in(area: bytes, off: int) -> list[int]:
+    return [int.from_bytes(area[o : o + 16], "little")
+            for o in range(off, off + 16 * 16, 16)]
+
+
 def xsave_serialize(regs, mask: XComponent) -> bytes:
     """Serialize the selected xstate components into the xsave area format."""
     area = bytearray(XSAVE_AREA_SIZE)
-    bits = 0
-    for component, bit in _COMPONENT_BITS:
-        if mask & component:
-            bits |= bit
+    bits = mask.value
     _U64.pack_into(area, XSAVE_MASK_OFF, bits)
-    if mask & XComponent.SSE:
-        for i, value in enumerate(regs.xmm):
-            area[XSAVE_XMM_OFF + 16 * i : XSAVE_XMM_OFF + 16 * (i + 1)] = (
-                value.to_bytes(16, "little")
-            )
-    if mask & XComponent.AVX:
-        for i, value in enumerate(regs.ymm_high):
-            area[XSAVE_YMM_OFF + 16 * i : XSAVE_YMM_OFF + 16 * (i + 1)] = (
-                value.to_bytes(16, "little")
-            )
-    if mask & XComponent.X87:
-        for i, value in enumerate(regs.x87):
-            _U64.pack_into(area, XSAVE_X87_OFF + 8 * i, value)
+    if bits & XComponent.SSE.value:
+        area[XSAVE_XMM_OFF:XSAVE_YMM_OFF] = _vectors_out(regs.xmm)
+    if bits & XComponent.AVX.value:
+        area[XSAVE_YMM_OFF:XSAVE_X87_OFF] = _vectors_out(regs.ymm_high)
+    if bits & XComponent.X87.value:
+        _X87_SLOTS.pack_into(area, XSAVE_X87_OFF, *regs.x87)
         area[XSAVE_TOP_OFF] = regs.x87_top
     return bytes(area)
 
@@ -870,17 +872,10 @@ def xsave_serialize(regs, mask: XComponent) -> bytes:
 def xrstor_apply(regs, area: bytes) -> None:
     """Restore xstate components from an xsave area."""
     (bits,) = _U64.unpack_from(area, XSAVE_MASK_OFF)
-    if bits & 2:
-        for i in range(16):
-            regs.xmm[i] = int.from_bytes(
-                area[XSAVE_XMM_OFF + 16 * i : XSAVE_XMM_OFF + 16 * (i + 1)], "little"
-            )
-    if bits & 4:
-        for i in range(16):
-            regs.ymm_high[i] = int.from_bytes(
-                area[XSAVE_YMM_OFF + 16 * i : XSAVE_YMM_OFF + 16 * (i + 1)], "little"
-            )
-    if bits & 1:
-        for i in range(8):
-            (regs.x87[i],) = _U64.unpack_from(area, XSAVE_X87_OFF + 8 * i)
+    if bits & XComponent.SSE.value:
+        regs.xmm[:] = _vectors_in(area, XSAVE_XMM_OFF)
+    if bits & XComponent.AVX.value:
+        regs.ymm_high[:] = _vectors_in(area, XSAVE_YMM_OFF)
+    if bits & XComponent.X87.value:
+        regs.x87[:] = _X87_SLOTS.unpack_from(area, XSAVE_X87_OFF)
         regs.x87_top = area[XSAVE_TOP_OFF]

@@ -63,10 +63,6 @@ class KernelError(ReproError):
     """Base class for kernel-level errors (bugs in kernel usage, not guest)."""
 
 
-class NoSuchTask(KernelError):
-    """Raised when an operation references a non-existent task id."""
-
-
 class LoaderError(ReproError):
     """Raised when a program image cannot be loaded."""
 

@@ -22,11 +22,13 @@ from repro.interpose.lazypoline.degrade import (
 from repro.kernel import errno
 from repro.kernel.signals import (
     FRAME_SIGINFO,
+    FRAME_UCONTEXT,
     SA_RESTORER,
     SA_SIGINFO,
     SI_ADDR,
     SIGSEGV,
     SIGSYS,
+    UC_FLAGS,
     UC_GPRS,
     UC_RIP,
 )
@@ -359,7 +361,7 @@ class Lazypoline:
             tracer.sigreturn_tramp(hctx.kernel.clock, task.tid)
 
         frame_base = regs.read(RSP) + _STUB_STACK_BYTES - 8
-        uc = frame_base + 48  # FRAME_UCONTEXT
+        uc = frame_base + FRAME_UCONTEXT
 
         saved_selector = gsrel.pop_sigret_selector(mem, gs)
         if self.config.preserves_any_xstate:
@@ -391,8 +393,6 @@ class Lazypoline:
                 # The trampoline must write the selector: patch the frame's
                 # saved PKRU open, stashing the interrupted context's real
                 # PKRU for the trampoline to restore on its way out.
-                from repro.kernel.signals import UC_FLAGS
-
                 flags = mem.read_u64(uc + UC_FLAGS, check=None)
                 mem.write_u64(gs + gsrel.GS_TRAMP_PKRU, flags >> 32, check=None)
                 mem.write_u64(uc + UC_FLAGS, flags & 0xFFFFFFFF, check=None)

@@ -19,7 +19,7 @@ lazypoline's "selector-only" design (§IV-A) exists to avoid.
 from __future__ import annotations
 
 from repro.arch.encode import Assembler
-from repro.arch.registers import R8, R9, R10, RAX, RDI, RDX, RSI, RSP
+from repro.arch.registers import RAX, RDX, RSI, RSP, SYSCALL_ARG_REGS
 from repro.interpose.api import (
     Interposer,
     SyscallContext,
@@ -34,7 +34,7 @@ from repro.kernel.signals import (
     SI_SYSCALL,
     SIGSYS,
     UC_GPRS,
-    UC_RIP,
+    UC_HEAD,
     UCONTEXT_SIZE,
 )
 from repro.kernel.syscalls.table import NR
@@ -45,9 +45,6 @@ _NR_RT_SIGRETURN = NR["rt_sigreturn"]
 _NR_FORK = NR["fork"]
 _NR_VFORK = NR["vfork"]
 _NR_CLONE = NR["clone"]
-
-#: ucontext offsets of the syscall argument registers, in ABI order.
-_ARG_REG_OFFSETS = tuple(UC_GPRS + 8 * r for r in (RDI, RSI, RDX, R10, R8, R9))
 
 
 class SignalPathTool:
@@ -135,9 +132,8 @@ class SignalPathTool:
                 hctx.kernel.clock, task.tid, call_addr - 2, self.mechanism
             )
         sysno = task.mem.read_u32(frame_base + SI_SYSCALL, check=None)
-        args = tuple(
-            task.mem.read_u64(uc + off, check=None) for off in _ARG_REG_OFFSETS
-        )
+        saved = UC_HEAD.unpack(task.mem.read(uc, UC_HEAD.size, check=None))
+        args = tuple(saved[r] for r in SYSCALL_ARG_REGS)  # GPRs lead UC_HEAD
 
         self._pre_interpose(hctx)
 
@@ -184,13 +180,12 @@ class SignalPathTool:
         """
         task = hctx.task
         if sysno == _NR_CLONE and args[1]:
-            for i in range(16):
-                child.regs.gpr[i] = task.mem.read_u64(
-                    uc + UC_GPRS + 8 * i, check=None
-                )
+            *gprs, rip = UC_HEAD.unpack(
+                task.mem.read(uc, UC_HEAD.size, check=None))[:17]
+            child.regs.gpr[:] = gprs
             child.regs.write(RAX, 0)
             child.regs.write(RSP, args[1])
-            child.regs.rip = task.mem.read_u64(uc + UC_RIP, check=None)
+            child.regs.rip = rip
         elif child.mem is not task.mem:
             child.mem.write_u64(uc + UC_GPRS + 8 * RAX, 0, check=None)
 
@@ -206,8 +201,3 @@ class SignalPathTool:
         mem.write(uc_outer, blob, check=None)
         hctx.charge(hctx.kernel.costs.copy_cost(UCONTEXT_SIZE) + 20)
         return None
-
-    # ------------------------------------------------------------- diagnostics
-    def saved_rip(self, hctx) -> int:
-        uc = hctx.task.regs.read(RDX)
-        return hctx.task.mem.read_u64(uc + UC_RIP, check=None)

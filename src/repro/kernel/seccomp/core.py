@@ -62,11 +62,6 @@ SECCOMP_DATA_IP_LO = 8
 SECCOMP_DATA_IP_HI = 12
 
 
-def seccomp_data_arg(index: int, high: bool = False) -> int:
-    """Byte offset of the low/high 32 bits of syscall argument ``index``."""
-    return 16 + 8 * index + (4 if high else 0)
-
-
 @dataclass(frozen=True)
 class SeccompResult:
     """Combined verdict of all installed filters."""

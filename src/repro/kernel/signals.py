@@ -21,15 +21,24 @@ entry)::
           +176  rip            u64
           +184  flags          u64  (bit0 = zf, bit1 = lt)
           +192  gs_base        u64
-          +200  xsave area     (XSAVE_AREA_SIZE bytes, all components)
+          +200  sigmask        u64
+          +208  xsave area     (XSAVE_AREA_SIZE bytes, all components)
+
+Bytes ``[36, 48)`` are padding and are never written.  The frame is
+declared once, as two packed layouts: :data:`FRAME_HEAD` (return address
+plus siginfo) and :data:`UC_HEAD` (the ucontext up to the xsave area), so
+a delivery is two guest writes and a sigreturn one guest read.
 
 The handler receives ``rdi = signo``, ``rsi = &siginfo``, ``rdx = &ucontext``.
 """
 
 from __future__ import annotations
 
-from repro.arch.registers import XComponent
+import struct
+
+from repro.arch.registers import MASK64, XComponent
 from repro.cpu.core import XSAVE_AREA_SIZE, xrstor_apply, xsave_serialize
+from repro.errors import PageFault
 from repro.kernel.task import SIG_DFL, SIG_IGN, PendingSignal, Task
 
 # ---------------------------------------------------------------- numbers
@@ -95,6 +104,13 @@ UC_SIGMASK = 152
 UC_XSTATE = 160
 UCONTEXT_SIZE = UC_XSTATE + XSAVE_AREA_SIZE
 FRAME_SIZE = (FRAME_UCONTEXT + UCONTEXT_SIZE + 15) & ~15
+
+#: Frame bytes ``[FRAME_RETADDR, SI_ERRNO + 4)``: return address, then
+#: siginfo signo, code, addr, syscall, arch, errno.
+FRAME_HEAD = struct.Struct("<QIIQIII")
+#: Ucontext bytes ``[UC_GPRS, UC_XSTATE)``: 16 GPRs, rip, flags, gs_base,
+#: sigmask.
+UC_HEAD = struct.Struct("<20Q")
 
 #: x86-64 audit arch value, reported in siginfo.arch.
 AUDIT_ARCH_X86_64 = 0xC000003E
@@ -171,7 +187,14 @@ class SignalDelivery:
             return False
         if tracer is not None:
             tracer.signal(self.kernel.clock, task.tid, sig, "handler")
-        self._push_frame(task, sig, action, info)
+        try:
+            self._push_frame(task, sig, action, info)
+        except PageFault:
+            # The frame does not fit on the stack: like Linux's
+            # force_sigsegv, the thread group dies of SIGSEGV.
+            if tracer is not None:
+                tracer.signal(self.kernel.clock, task.tid, SIGSEGV, "kill")
+            self.kernel.terminate_group(task, signal=SIGSEGV)
         return True
 
     def _push_frame(self, task: Task, sig: int, action, info: dict) -> None:
@@ -182,29 +205,22 @@ class SignalDelivery:
 
         frame_base = ((regs.read(4) - 128 - FRAME_SIZE) & ~15)  # rsp, redzone
         restorer = action.restorer or kernel.default_restorer(task)
-        mem.write_u64(frame_base + FRAME_RETADDR, restorer, check=None)
+        # Fields are truncated to their widths, as word-sized stores would.
+        mem.write(frame_base, FRAME_HEAD.pack(
+            restorer, sig, info.get("code", 0) & 0xFFFFFFFF,
+            info.get("addr", 0) & MASK64, info.get("syscall", 0) & 0xFFFFFFFF,
+            AUDIT_ARCH_X86_64, info.get("errno", 0) & 0xFFFFFFFF,
+        ), check=None)
 
-        # siginfo
-        mem.write_u32(frame_base + SI_SIGNO, sig, check=None)
-        mem.write_u32(frame_base + SI_CODE, info.get("code", 0), check=None)
-        mem.write_u64(frame_base + SI_ADDR, info.get("addr", 0), check=None)
-        mem.write_u32(frame_base + SI_SYSCALL, info.get("syscall", 0), check=None)
-        mem.write_u32(frame_base + SI_ARCH, AUDIT_ARCH_X86_64, check=None)
-        mem.write_u32(frame_base + SI_ERRNO, info.get("errno", 0), check=None)
-
-        # ucontext: the interrupted machine context
+        # ucontext: the interrupted machine context.  The flags word holds
+        # zf/lt in the low bits and PKRU in the high 32 (PKRU is xstate on
+        # real hardware and travels with the frame).
         uc = frame_base + FRAME_UCONTEXT
-        for i, value in enumerate(regs.gpr):
-            mem.write_u64(uc + UC_GPRS + 8 * i, value, check=None)
-        mem.write_u64(uc + UC_RIP, regs.rip, check=None)
-        # flags word: zf/lt in the low bits, PKRU in the high 32 (PKRU is
-        # xstate on real hardware and travels with the frame).
         flags = (1 if regs.zf else 0) | (2 if regs.lt else 0)
         flags |= (regs.pkru & 0xFFFFFFFF) << 32
-        mem.write_u64(uc + UC_FLAGS, flags, check=None)
-        mem.write_u64(uc + UC_GSBASE, regs.gs_base, check=None)
-        mem.write_u64(uc + UC_SIGMASK, task.sigmask, check=None)
-        mem.write(uc + UC_XSTATE, xsave_serialize(regs, XComponent.all()), check=None)
+        mem.write(uc, UC_HEAD.pack(
+            *regs.gpr, regs.rip & MASK64, flags, regs.gs_base, task.sigmask,
+        ) + xsave_serialize(regs, XComponent.all()), check=None)
 
         # switch to the handler
         regs.write(4, frame_base)  # rsp
@@ -230,16 +246,12 @@ class SignalDelivery:
         mem = task.mem
         kernel.charge(task, kernel.costs.sigreturn_work)
 
-        frame_base = regs.read(4) - 8  # rsp
-        uc = frame_base + FRAME_UCONTEXT
-        for i in range(16):
-            regs.gpr[i] = mem.read_u64(uc + UC_GPRS + 8 * i, check=None)
-        regs.rip = mem.read_u64(uc + UC_RIP, check=None)
-        flags = mem.read_u64(uc + UC_FLAGS, check=None)
+        uc = regs.read(4) - 8 + FRAME_UCONTEXT  # rsp = frame_base + 8
+        blob = mem.read(uc, UCONTEXT_SIZE, check=None)
+        *gprs, regs.rip, flags, regs.gs_base, task.sigmask = UC_HEAD.unpack_from(blob)
+        regs.gpr[:] = gprs
         regs.zf = bool(flags & 1)
         regs.lt = bool(flags & 2)
         regs.pkru = (flags >> 32) & 0xFFFFFFFF
         mem.active_pkru = regs.pkru
-        regs.gs_base = mem.read_u64(uc + UC_GSBASE, check=None)
-        task.sigmask = mem.read_u64(uc + UC_SIGMASK, check=None)
-        xrstor_apply(regs, mem.read(uc + UC_XSTATE, XSAVE_AREA_SIZE, check=None))
+        xrstor_apply(regs, blob[UC_XSTATE:])

@@ -19,7 +19,7 @@ MAP_FIXED = 0x10
 MAP_ANONYMOUS = 0x20
 
 
-def prot_to_perm(prot: int) -> Perm:
+def prot_to_perm(prot: int) -> int:
     perm = Perm.NONE
     if prot & PROT_READ:
         perm |= Perm.R

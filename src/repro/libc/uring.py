@@ -198,10 +198,6 @@ class GuestRing:
     def push_accept(self, fd) -> int:
         return self.push("accept4", fd, 0, 0, 0)
 
-    def push_send(self, fd, buf, count) -> int:
-        # send(fd, buf, n, 0) on a connected socket == write(fd, buf, n)
-        return self.push("write", fd, buf, count)
-
     def _submit(self, n: int, *, min_complete: int = 0,
                 flags: int = 0) -> int:
         """Publish ``sq_tail = n`` and emit ring_enter, re-entering until

@@ -20,7 +20,7 @@ class Segment:
 
     addr: int
     data: bytes
-    perm: Perm
+    perm: int
     name: str = ""
 
 
@@ -46,7 +46,7 @@ def image_from_assembler(
     *,
     entry: str | int = 0,
     extra_segments: list[Segment] | None = None,
-    text_perm: Perm = Perm.RX,
+    text_perm: int = Perm.RX,
 ) -> ProgramImage:
     """Build an image whose text segment is ``asm``'s output.
 

@@ -20,9 +20,9 @@ from repro.errors import MapError, PageFault
 from repro.mem.pages import (
     PAGE_SIZE,
     PAGE_SHIFT,
-    PERM_X,
     Page,
     Perm,
+    describe,
     page_align_down,
     page_align_up,
 )
@@ -38,14 +38,14 @@ class Region:
 
     start: int
     end: int  # exclusive
-    perm: Perm
+    perm: int
 
     @property
     def size(self) -> int:
         return self.end - self.start
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{self.start:#x}-{self.end:#x} {self.perm.describe()}"
+        return f"{self.start:#x}-{self.end:#x} {describe(self.perm)}"
 
 
 _ACCESS_BIT = {"read": Perm.R, "write": Perm.W, "exec": Perm.X}
@@ -141,7 +141,7 @@ class AddressSpace:
             hook(self, pn)
 
     # ------------------------------------------------------------- mapping
-    def map(self, addr: int, length: int, perm: Perm, *, fixed: bool = True) -> int:
+    def map(self, addr: int, length: int, perm: int, *, fixed: bool = True) -> int:
         """Map ``length`` bytes at page-aligned ``addr`` with ``perm``.
 
         Overlapping an existing mapping is an error (use :meth:`protect` to
@@ -160,7 +160,7 @@ class AddressSpace:
             self._pages[pn] = Page(perm=perm)
         return addr
 
-    def map_anywhere(self, length: int, perm: Perm, hint: int = 0x1000_0000) -> int:
+    def map_anywhere(self, length: int, perm: int, hint: int = 0x1000_0000) -> int:
         """Map ``length`` bytes at the first free region at/above ``hint``."""
         count = page_align_up(max(length, 1)) >> PAGE_SHIFT
         pn = page_align_down(hint) >> PAGE_SHIFT
@@ -177,10 +177,10 @@ class AddressSpace:
         count = page_align_up(length) >> PAGE_SHIFT
         for pn in range(first, first + count):
             page = self._pages.pop(pn, None)
-            if page is not None and page.perm & PERM_X:
+            if page is not None and page.perm & Perm.X:
                 self._bump_exec_gen(pn)
 
-    def protect(self, addr: int, length: int, perm: Perm) -> None:
+    def protect(self, addr: int, length: int, perm: int) -> None:
         """Change permissions (mprotect).  All pages must be mapped."""
         if addr % PAGE_SIZE:
             raise MapError(f"unaligned protect address {addr:#x}")
@@ -193,7 +193,7 @@ class AddressSpace:
                 raise MapError(f"protect of unmapped page {pn << PAGE_SHIFT:#x}")
             pages.append(page)
         for pn, page in zip(range(first, first + count), pages):
-            if page.perm & PERM_X:
+            if page.perm & Perm.X:
                 self._bump_exec_gen(pn)
             page.perm = perm
 
@@ -202,7 +202,7 @@ class AddressSpace:
         last = (addr + length - 1) >> PAGE_SHIFT
         return all(pn in self._pages for pn in range(first, last + 1))
 
-    def perm_at(self, addr: int) -> Perm:
+    def perm_at(self, addr: int) -> int:
         page = self._pages.get(addr >> PAGE_SHIFT)
         return page.perm if page is not None else Perm.NONE
 
@@ -280,7 +280,7 @@ class AddressSpace:
             # Any store into a currently executable page (kernel-side
             # check=None writes included — ptrace POKEDATA patches code this
             # way) invalidates its cached decodes.
-            if page.perm & PERM_X:
+            if page.perm & Perm.X:
                 self._bump_exec_gen(pn)
             pos += chunk
             idx += chunk

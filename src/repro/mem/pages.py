@@ -2,15 +2,14 @@
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
 PAGE_SIZE = 4096
 PAGE_SHIFT = 12
 
 
-class Perm(enum.IntFlag):
-    """Page permission bits, mmap-style."""
+class Perm:
+    """Page permission bits, mmap-style, as plain ints."""
 
     NONE = 0
     R = 1
@@ -20,17 +19,13 @@ class Perm(enum.IntFlag):
     RX = R | X
     RWX = R | W | X
 
-    def describe(self) -> str:
-        return "".join(
-            ch if self & bit else "-"
-            for ch, bit in (("r", Perm.R), ("w", Perm.W), ("x", Perm.X))
-        )
 
-
-#: Raw execute bit as a plain int — hot paths (translation-cache generation
-#: bumps on every guest store) test ``page.perm & PERM_X`` without paying
-#: IntFlag construction overhead.
-PERM_X = int(Perm.X)
+def describe(perm: int) -> str:
+    """``perm`` as an ``rwx`` string, e.g. ``"r-x"``."""
+    return "".join(
+        ch if perm & bit else "-"
+        for ch, bit in (("r", Perm.R), ("w", Perm.W), ("x", Perm.X))
+    )
 
 
 def page_align_down(addr: int) -> int:
@@ -50,7 +45,7 @@ class Page:
     """
 
     data: bytearray = field(default_factory=lambda: bytearray(PAGE_SIZE))
-    perm: Perm = Perm.NONE
+    perm: int = Perm.NONE
     pkey: int = 0
 
     def copy(self) -> "Page":

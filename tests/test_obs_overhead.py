@@ -1,22 +1,14 @@
-"""Tracer overhead when disabled: tier-1 perf must be untouched.
+"""Tracer overhead when disabled: simulated results must be untouched.
 
-Two guarantees:
-
-* **simulated** — cycle accounting is bit-identical with tracing on or off
-  (covered per-workload here and in test_obs_tracer.py),
-* **wall-clock** — with ``tracer=None`` the cached-interpreter guest MIPS
-  stays within a (generous) band of the committed ``BENCH_interp.json``
-  baseline, reusing ``benchmarks/check_regression.py``'s comparison
-  machinery.  The band is wide (50%) because pytest runs on shared, noisy
-  hardware; ``make perf`` enforces the tight 15% band on dedicated runs.
+Cycle accounting is bit-identical with tracing on or off (covered here and
+per-workload in test_obs_tracer.py), and a machine built without a tracer
+holds ``None`` at every emit site.  Host wall-clock speed with
+``tracer=None`` is not checked here: ``make perf`` measures the same
+``microbench-steady`` loop (``benchmarks/test_perf_interpreter.py``) and
+gates it against ``BENCH_interp.json`` on dedicated runs.
 """
 
 from __future__ import annotations
-
-import importlib.util
-import json
-import pathlib
-import time
 
 import pytest
 
@@ -26,20 +18,6 @@ from repro.obs import Tracer
 from tests.conftest import hello_image
 
 pytestmark = pytest.mark.obs
-
-ROOT = pathlib.Path(__file__).resolve().parent.parent
-BASELINE = ROOT / "BENCH_interp.json"
-
-#: Generous tolerance: this is a smoke guard, not the perf gate.
-TOLERANCE = 0.50
-
-
-def _load_check_regression():
-    path = ROOT / "benchmarks" / "check_regression.py"
-    spec = importlib.util.spec_from_file_location("check_regression", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def _compute_loop_image(iters: int):
@@ -62,36 +40,6 @@ def _compute_loop_image(iters: int):
     a.mov_imm("rdi", 0)
     a.syscall()
     return image_from_assembler("microbench-steady", a, entry="_start")
-
-
-def _measure_mips(tracer, iters: int = 100_000, repeats: int = 3) -> float:
-    best = 0.0
-    for _ in range(repeats):
-        machine = Machine(tracer=tracer)
-        proc = machine.load(_compute_loop_image(iters))
-        t0 = time.perf_counter()
-        machine.run_process(proc, max_instructions=20_000_000)
-        seconds = time.perf_counter() - t0
-        mips = machine.scheduler.total_instructions / seconds / 1e6
-        best = max(best, mips)
-    return best
-
-
-def test_disabled_tracer_keeps_baseline_mips():
-    if not BASELINE.exists():
-        pytest.skip("no BENCH_interp.json baseline committed")
-    baseline = json.loads(BASELINE.read_text())
-    if "microbench" not in baseline.get("workloads", {}):
-        pytest.skip("baseline lacks the microbench workload")
-
-    mips = _measure_mips(tracer=None)
-    current = {"workloads": {"microbench": {"mips": mips}}}
-    reference = {
-        "workloads": {"microbench": baseline["workloads"]["microbench"]}
-    }
-    check = _load_check_regression()
-    failures = check.compare(reference, current, TOLERANCE)
-    assert not failures, f"tracer=None regressed guest MIPS: {failures}"
 
 
 def test_disabled_tracer_identical_simulated_cycles_compute_loop():

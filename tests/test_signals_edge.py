@@ -1,9 +1,50 @@
-"""Signal edge cases: SA_NODEFER, mask save/restore, handler re-registration."""
+"""Signal edge cases: SA_NODEFER, mask save/restore, handler re-registration,
+frames that cannot be pushed, and the frame's exact byte layout."""
 
 from __future__ import annotations
 
-from repro.kernel.signals import SA_NODEFER, SIGUSR1, SIGUSR2
+import struct
+
+from repro.arch.registers import RDI, RDX, RSI, RSP
+from repro.cpu.core import (
+    XSAVE_AREA_SIZE,
+    XSAVE_MASK_OFF,
+    XSAVE_TOP_OFF,
+    XSAVE_X87_OFF,
+    XSAVE_XMM_OFF,
+    XSAVE_YMM_OFF,
+)
+from repro.kernel.signals import (
+    AUDIT_ARCH_X86_64,
+    FRAME_RETADDR,
+    FRAME_SIGINFO,
+    FRAME_SIZE,
+    FRAME_UCONTEXT,
+    SA_NODEFER,
+    SA_RESTORER,
+    SA_SIGINFO,
+    SI_ADDR,
+    SI_ARCH,
+    SI_CODE,
+    SI_ERRNO,
+    SI_SIGNO,
+    SI_SYSCALL,
+    SIGALRM,
+    SIGHUP,
+    SIGSEGV,
+    SIGUSR1,
+    SIGUSR2,
+    UC_FLAGS,
+    UC_GPRS,
+    UC_GSBASE,
+    UC_RIP,
+    UC_SIGMASK,
+    UC_XSTATE,
+    UCONTEXT_SIZE,
+)
 from repro.kernel.syscalls.table import NR
+from repro.kernel.task import SigAction
+from repro.mem.pages import Perm
 
 from tests.conftest import asm, emit_exit, emit_syscall, finish, run_program
 
@@ -158,3 +199,169 @@ def test_reregistration_returns_old_handler(machine):
     a.dq(0)
     _proc, code = run_program(machine, finish(a))
     assert code == 0
+
+
+# ------------------------------------------------- frames that cannot be pushed
+def test_unpushable_frame_for_posted_signal_kills_with_sigsegv(machine):
+    """A handled signal whose frame lands on unmapped stack kills the group
+    with SIGSEGV (Linux force_sigsegv) instead of faulting the host."""
+    a = asm()
+    a.label("_start")
+    _register(a, SIGUSR1, "act")
+    a.mov_imm("rsp", 0x7000_0000)
+    _raise_self(a, SIGUSR1)
+    emit_exit(a, 0)
+    a.label("handler")
+    a.ret()
+    a.align(8, fill=0)
+    a.label("act")
+    a.dq("handler")
+    a.dq(0)
+    a.dq(0)
+    a.dq(0)
+    proc = machine.load(finish(a))
+    machine.run(until=lambda: not proc.alive)
+    assert proc.term_signal == SIGSEGV
+
+
+def test_unpushable_frame_for_fault_signal_kills_with_sigsegv(machine):
+    """A SIGSEGV handler cannot run on the stack that faulted: the faulting
+    push is fatal rather than a host exception."""
+    a = asm()
+    a.label("_start")
+    _register(a, SIGSEGV, "act")
+    a.mov_imm("rsp", 0x7000_0000)
+    a.push("rax")
+    emit_exit(a, 0)
+    a.label("handler")
+    a.ret()
+    a.align(8, fill=0)
+    a.label("act")
+    a.dq("handler")
+    a.dq(0)
+    a.dq(0)
+    a.dq(0)
+    proc = machine.load(finish(a))
+    machine.run(until=lambda: not proc.alive)
+    assert proc.term_signal == SIGSEGV
+
+
+# ------------------------------------------------------------ frame byte layout
+def test_frame_bytes_match_named_offsets_and_sigreturn_restores(machine):
+    """Every frame field sits at its named offset, padding and the stack
+    around the frame keep their old bytes, and rt_sigreturn restores every
+    saved field."""
+    a = asm()
+    a.label("_start")
+    emit_exit(a, 0)
+    a.label("handler")
+    a.ret()
+    a.label("restorer")
+    a.mov_imm("rax", NR["rt_sigreturn"])
+    a.syscall()
+    proc = machine.load(finish(a))
+    task = proc.task
+    mem = task.mem
+    regs = task.regs
+    handler, restorer = a.address_of("handler"), a.address_of("restorer")
+
+    stack = mem.map_anywhere(0x4000, Perm.RW, hint=0x5000_0000)
+    mem.write(stack, b"\xa5" * 0x4000, check=None)
+    rsp = stack + 0x3F08
+    gprs = [(0x0101_0101_0101_0101 * (i + 1)) ^ (1 << 63) for i in range(16)]
+    gprs[4] = rsp
+    regs.gpr[:] = gprs
+    regs.rip = 0x40_1234
+    regs.zf, regs.lt = False, True
+    regs.pkru = 0x5555_0004
+    regs.gs_base = 0x7777_0000_1000
+    regs.xmm[:] = [(0xF0 + i) << 120 | (i + 1) for i in range(16)]
+    regs.ymm_high[:] = [(0xE0 + i) << 120 | (i + 2) << 64 | i for i in range(16)]
+    regs.x87[:] = [0x3FF0_0000_0000_0000 + i for i in range(8)]
+    regs.x87_top = 5
+    old_mask = 1 << SIGHUP | 1 << SIGALRM
+    task.sigmask = old_mask
+    task.sighand.set(SIGUSR1, SigAction(
+        handler=handler, flags=SA_SIGINFO | SA_RESTORER,
+        restorer=restorer, mask=1 << SIGUSR2))
+    info = {"code": 7, "addr": 0xFFFF_8000_0000_1000, "syscall": 39,
+            "errno": 13}
+    saved = regs.copy()
+
+    assert machine.kernel.signals.deliver_now(task, SIGUSR1, info)
+
+    base = (rsp - 128 - FRAME_SIZE) & ~15
+    uc = base + FRAME_UCONTEXT
+    expect = bytearray(b"\xa5" * FRAME_SIZE)
+
+    def put(off, fmt, value):
+        struct.pack_into(fmt, expect, off, value)
+
+    put(FRAME_RETADDR, "<Q", restorer)
+    put(SI_SIGNO, "<I", SIGUSR1)
+    put(SI_CODE, "<I", 7)
+    put(SI_ADDR, "<Q", 0xFFFF_8000_0000_1000)
+    put(SI_SYSCALL, "<I", 39)
+    put(SI_ARCH, "<I", AUDIT_ARCH_X86_64)
+    put(SI_ERRNO, "<I", 13)
+    u = FRAME_UCONTEXT
+    for i, value in enumerate(gprs):
+        put(u + UC_GPRS + 8 * i, "<Q", value)
+    put(u + UC_RIP, "<Q", 0x40_1234)
+    put(u + UC_FLAGS, "<Q", 2 | 0x5555_0004 << 32)
+    put(u + UC_GSBASE, "<Q", 0x7777_0000_1000)
+    put(u + UC_SIGMASK, "<Q", old_mask)
+    x = u + UC_XSTATE
+    expect[x : x + XSAVE_AREA_SIZE] = bytes(XSAVE_AREA_SIZE)
+    put(x + XSAVE_MASK_OFF, "<Q", 7)
+    for i in range(16):
+        expect[x + XSAVE_XMM_OFF + 16 * i : x + XSAVE_XMM_OFF + 16 * i + 16] = (
+            saved.xmm[i].to_bytes(16, "little"))
+        expect[x + XSAVE_YMM_OFF + 16 * i : x + XSAVE_YMM_OFF + 16 * i + 16] = (
+            saved.ymm_high[i].to_bytes(16, "little"))
+    for i in range(8):
+        put(x + XSAVE_X87_OFF + 8 * i, "<Q", saved.x87[i])
+    expect[x + XSAVE_TOP_OFF] = 5
+    assert FRAME_UCONTEXT + UCONTEXT_SIZE == FRAME_SIZE
+    assert bytes(expect[SI_ERRNO + 4 : FRAME_UCONTEXT]) == b"\xa5" * 12
+
+    assert mem.read(base, FRAME_SIZE, check=None) == bytes(expect)
+    assert mem.read(stack, base - stack, check=None) == b"\xa5" * (base - stack)
+    top = stack + 0x4000
+    end = base + FRAME_SIZE
+    assert mem.read(end, top - end, check=None) == b"\xa5" * (top - end)
+
+    # Handler entry state.
+    assert regs.read(RSP) == base
+    assert (regs.read(RDI), regs.read(RSI), regs.read(RDX)) == (
+        SIGUSR1, base + FRAME_SIGINFO, uc)
+    assert regs.rip == handler
+    assert task.sigmask == old_mask | 1 << SIGUSR1 | 1 << SIGUSR2
+
+    # The handler clobbers everything it may; its ret reaches the restorer,
+    # whose rt_sigreturn must bring every saved field back.
+    for i in range(16):
+        if i != RSP:
+            regs.gpr[i] = 0xDEAD
+    regs.zf, regs.lt = True, False
+    regs.pkru = 0
+    regs.gs_base = 0
+    regs.xmm[:] = [0] * 16
+    regs.ymm_high[:] = [0] * 16
+    regs.x87[:] = [0] * 8
+    regs.x87_top = 8
+    task.sigmask = 0
+    cpu = machine.kernel.cpu
+    for _ in range(3):  # ret; mov rax, NR; syscall
+        cpu.step(task)
+
+    assert regs.gpr == gprs
+    assert regs.rip == 0x40_1234
+    assert (regs.zf, regs.lt) == (False, True)
+    assert regs.pkru == mem.active_pkru == 0x5555_0004
+    assert regs.gs_base == 0x7777_0000_1000
+    assert task.sigmask == old_mask
+    assert regs.xmm == saved.xmm
+    assert regs.ymm_high == saved.ymm_high
+    assert regs.x87 == saved.x87
+    assert regs.x87_top == 5
